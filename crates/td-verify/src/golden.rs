@@ -1,6 +1,7 @@
 //! Paper-conformance goldens: committed snapshots of the DS1 preset
-//! tables (precision / recall / F1 / accuracy per algorithm, plain and
-//! under TD-AC, plus dataset DCR and the selected partitions).
+//! tables (precision / recall / F1 / accuracy per algorithm, plain,
+//! under TD-AC and under missing-aware TD-AC, plus dataset DCR and the
+//! selected partitions).
 //!
 //! The snapshot pins every number bit-exactly — `serde_json` prints
 //! shortest round-trip floats, so parse-compare is lossless. Any change
@@ -60,8 +61,9 @@ impl From<&EvalReport> for GoldenReport {
     }
 }
 
-/// One algorithm's row: the plain (un-partitioned) run and the TD-AC
-/// run, with TD-AC's model selection pinned alongside.
+/// One algorithm's row: the plain (un-partitioned) run, the TD-AC run
+/// and the missing-aware TD-AC run, with each TD-AC run's model
+/// selection pinned alongside.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct AlgorithmGolden {
     /// Paper-style algorithm name.
@@ -76,6 +78,14 @@ pub struct AlgorithmGolden {
     pub tdac_silhouette: f64,
     /// Whether TD-AC fell back to the un-partitioned run.
     pub tdac_fallback: bool,
+    /// Metrics of the missing-aware TD-AC run (masked Hamming + PAM).
+    pub masked: GoldenReport,
+    /// The partition the missing-aware run selected.
+    pub masked_partition: String,
+    /// Its silhouette score.
+    pub masked_silhouette: f64,
+    /// Whether the missing-aware run fell back.
+    pub masked_fallback: bool,
 }
 
 /// The full DS1 snapshot.
@@ -102,34 +112,48 @@ pub fn compute_ds1() -> Ds1Golden {
     compute_ds1_with(&TdacConfig::default())
 }
 
-/// Recomputes the DS1 table with a caller-supplied TD-AC config. The
-/// committed golden uses [`TdacConfig::default`]; the observer-neutrality
-/// harness passes an observer-enabled config and asserts the table is
+/// Recomputes the DS1 table with a caller-supplied TD-AC config (each
+/// row also runs it with `missing_aware` switched on). The committed
+/// golden uses [`TdacConfig::default`]; the observer-neutrality harness
+/// passes an observer-enabled config and asserts the table is
 /// bit-identical either way.
 pub fn compute_ds1_with(tdac_config: &TdacConfig) -> Ds1Golden {
     let config = SyntheticConfig::ds1().scaled(DS1_GOLDEN_OBJECTS);
     let world = generate_synthetic(&config);
     let planted = tdac_core::AttributePartition::new(world.planted.groups.clone());
 
+    let masked_config = TdacConfig {
+        missing_aware: true,
+        ..tdac_config.clone()
+    };
     let algorithms = standard_algorithms()
         .iter()
         .map(|base| {
             let plain = base.discover(&world.dataset.view_all());
             let plain_report =
                 evaluate_fn(&world.dataset, &world.truth, |o, a| plain.prediction(o, a));
-            let outcome = Tdac::new(tdac_config.clone())
-                .run(base.as_ref(), &world.dataset)
-                .expect("DS1 is non-empty");
-            let tdac_report = evaluate_fn(&world.dataset, &world.truth, |o, a| {
-                outcome.result.prediction(o, a)
-            });
+            let run = |config: &TdacConfig| {
+                let outcome = Tdac::new(config.clone())
+                    .run(base.as_ref(), &world.dataset)
+                    .expect("DS1 is non-empty");
+                let report = evaluate_fn(&world.dataset, &world.truth, |o, a| {
+                    outcome.result.prediction(o, a)
+                });
+                (GoldenReport::from(&report), outcome)
+            };
+            let (tdac_report, outcome) = run(tdac_config);
+            let (masked_report, masked) = run(&masked_config);
             AlgorithmGolden {
                 algorithm: base.name().to_string(),
                 plain: GoldenReport::from(&plain_report),
-                tdac: GoldenReport::from(&tdac_report),
+                tdac: tdac_report,
                 tdac_partition: outcome.partition.to_string(),
                 tdac_silhouette: outcome.silhouette,
                 tdac_fallback: outcome.fallback,
+                masked: masked_report,
+                masked_partition: masked.partition.to_string(),
+                masked_silhouette: masked.silhouette,
+                masked_fallback: masked.fallback,
             }
         })
         .collect();
@@ -232,22 +256,32 @@ pub fn diff_ds1(committed: &Ds1Golden, fresh: &Ds1Golden) -> Option<String> {
                 ("tdac.accuracy", c.tdac.accuracy, f.tdac.accuracy),
                 ("tdac.cell_accuracy", c.tdac.cell_accuracy, f.tdac.cell_accuracy),
                 ("tdac_silhouette", c.tdac_silhouette, f.tdac_silhouette),
+                ("masked.precision", c.masked.precision, f.masked.precision),
+                ("masked.recall", c.masked.recall, f.masked.recall),
+                ("masked.f1", c.masked.f1, f.masked.f1),
+                ("masked.accuracy", c.masked.accuracy, f.masked.accuracy),
+                ("masked.cell_accuracy", c.masked.cell_accuracy, f.masked.cell_accuracy),
+                ("masked_silhouette", c.masked_silhouette, f.masked_silhouette),
             ] {
                 if a.to_bits() != b.to_bits() {
                     return Some(field(name, a, b));
                 }
             }
-            if c.tdac_partition != f.tdac_partition {
-                return Some(format!(
-                    "{}.tdac_partition: {} vs {}",
-                    c.algorithm, c.tdac_partition, f.tdac_partition
-                ));
+            for (name, a, b) in [
+                ("tdac_partition", &c.tdac_partition, &f.tdac_partition),
+                ("masked_partition", &c.masked_partition, &f.masked_partition),
+            ] {
+                if a != b {
+                    return Some(format!("{}.{name}: {a} vs {b}", c.algorithm));
+                }
             }
-            if c.tdac_fallback != f.tdac_fallback {
-                return Some(format!(
-                    "{}.tdac_fallback: {} vs {}",
-                    c.algorithm, c.tdac_fallback, f.tdac_fallback
-                ));
+            for (name, a, b) in [
+                ("tdac_fallback", c.tdac_fallback, f.tdac_fallback),
+                ("masked_fallback", c.masked_fallback, f.masked_fallback),
+            ] {
+                if a != b {
+                    return Some(format!("{}.{name}: {a} vs {b}", c.algorithm));
+                }
             }
         }
     }
@@ -287,6 +321,10 @@ mod tests {
         flipped.algorithms[0].tdac_fallback = !flipped.algorithms[0].tdac_fallback;
         let diff = diff_ds1(&golden, &flipped).expect("must detect the flip");
         assert!(diff.contains("tdac_fallback"), "{diff}");
+        let mut moved = golden.clone();
+        moved.algorithms[1].masked_silhouette += 1e-9;
+        let diff = diff_ds1(&golden, &moved).expect("must detect the masked move");
+        assert!(diff.contains("TruthFinder.masked_silhouette"), "{diff}");
     }
 
     #[test]
