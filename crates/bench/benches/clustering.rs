@@ -1,12 +1,13 @@
 //! Bench: the clustering substrate on truth-vector-shaped binary
 //! matrices — the ablation bench for DESIGN.md's "k-means vs. PAM vs.
-//! hierarchical" and "silhouette sweep cost" design choices.
+//! hierarchical" design choice. The production k sweep is timed
+//! end to end by `tdac_pipeline`'s `tdac_phases/exam62/full_pipeline`.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use clustering::{
-    select_k, silhouette_paper, Agglomerative, BitMatrix, DistanceOptions, Hamming, KMeans,
+    silhouette_paper, Agglomerative, BitMatrix, DistanceOptions, Hamming, KMeans,
     KMeansConfig, KernelPolicy, Linkage, Matrix, Pam, PamConfig,
 };
 
@@ -59,23 +60,6 @@ fn bench_clusterers(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_k_sweep(c: &mut Criterion) {
-    let mut group = c.benchmark_group("ablation/silhouette_sweep");
-    group.sample_size(10);
-    for n_attrs in [6usize, 32, 62] {
-        let data = planted(n_attrs, 240);
-        group.bench_with_input(BenchmarkId::from_parameter(n_attrs), &data, |b, d| {
-            b.iter(|| {
-                black_box(
-                    select_k(d, 2..=d.n_rows() - 1, &Hamming, KMeansConfig::with_k(0))
-                        .expect("sweep"),
-                )
-            });
-        });
-    }
-    group.finish();
-}
-
 fn bench_hamming_kernels(c: &mut Criterion) {
     // The tentpole comparison: the dense f64 reference loop vs the
     // bit-packed XOR+popcount kernel on the same pairwise Hamming
@@ -99,5 +83,5 @@ fn bench_hamming_kernels(c: &mut Criterion) {
     }
 }
 
-criterion_group!(benches, bench_clusterers, bench_k_sweep, bench_hamming_kernels);
+criterion_group!(benches, bench_clusterers, bench_hamming_kernels);
 criterion_main!(benches);

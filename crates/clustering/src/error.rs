@@ -23,9 +23,6 @@ pub enum ClusterError {
     /// a single improvement pass, so the cap is rejected up front
     /// instead of silently returning the initialization.
     ZeroIterationCap,
-    /// A cooperative [`td_obs::CancelToken`] fired before any clustering
-    /// completed, so there is no best-so-far selection to return.
-    Cancelled,
 }
 
 impl fmt::Display for ClusterError {
@@ -39,9 +36,6 @@ impl fmt::Display for ClusterError {
             ClusterError::EmptyKRange => write!(f, "the k range to sweep is empty"),
             ClusterError::ZeroIterationCap => {
                 write!(f, "max_iterations = 0 can never fit (use at least 1)")
-            }
-            ClusterError::Cancelled => {
-                write!(f, "cancelled before any clustering completed")
             }
         }
     }

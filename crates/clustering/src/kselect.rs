@@ -1,120 +1,14 @@
-//! Silhouette-guided selection of the number of clusters — the
-//! `k ∈ [2, |A|-1]` sweep of TD-AC's Algorithm 1 (lines 6–18).
+//! Elbow-method selection of the number of clusters — the ablation
+//! baseline for TD-AC's silhouette-guided sweep. The sweep itself
+//! (Algorithm 1, lines 6–18) lives in `tdac-core`, next to the
+//! pipeline that runs it.
 
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
-use crate::distance::{pairwise_distances, Metric};
 use crate::error::ClusterError;
 use crate::kmeans::{KMeans, KMeansConfig, KMeansResult};
 use crate::matrix::Matrix;
-use crate::silhouette::silhouette_paper_dist;
-
-/// The outcome of a k sweep.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct KSelection {
-    /// The selected number of clusters.
-    pub best_k: usize,
-    /// The winning clustering.
-    pub best_result: KMeansResult,
-    /// The winning partition's silhouette value.
-    pub best_silhouette: f64,
-    /// Every `(k, silhouette)` evaluated, in sweep order — the raw series
-    /// behind elbow/diagnostic plots.
-    pub scores: Vec<(usize, f64)>,
-}
-
-/// Sweeps `k` over `k_range`, fitting k-means for each and scoring the
-/// partition with the paper's macro-averaged silhouette under `metric`;
-/// returns the best. Ties keep the *smallest* k (Algorithm 1's strict
-/// `<` comparison), which also biases TD-AC toward coarser partitions —
-/// coarser partitions give the base algorithm more evidence per group.
-///
-/// `base` supplies every parameter of the inner k-means except `k`.
-pub fn select_k(
-    data: &Matrix,
-    k_range: std::ops::RangeInclusive<usize>,
-    metric: &dyn Metric,
-    base: KMeansConfig,
-) -> Result<KSelection, ClusterError> {
-    select_k_impl(data, k_range, metric, base, None)
-}
-
-/// [`select_k`] with cooperative cancellation: once `cancel` fires, the
-/// remaining `k` values are skipped and the best among the already
-/// evaluated ones is returned (its `scores` cover only the evaluated
-/// `k`s). Cancelling before any `k` completes yields
-/// [`ClusterError::Cancelled`] — there is no best-so-far to hand back.
-pub fn select_k_cancellable(
-    data: &Matrix,
-    k_range: std::ops::RangeInclusive<usize>,
-    metric: &dyn Metric,
-    base: KMeansConfig,
-    cancel: &td_obs::CancelToken,
-) -> Result<KSelection, ClusterError> {
-    select_k_impl(data, k_range, metric, base, Some(cancel))
-}
-
-fn select_k_impl(
-    data: &Matrix,
-    k_range: std::ops::RangeInclusive<usize>,
-    metric: &dyn Metric,
-    base: KMeansConfig,
-    cancel: Option<&td_obs::CancelToken>,
-) -> Result<KSelection, ClusterError> {
-    if data.n_rows() == 0 {
-        return Err(ClusterError::EmptyInput);
-    }
-    let lo = *k_range.start();
-    let hi = (*k_range.end()).min(data.n_rows());
-    if lo > hi || lo == 0 {
-        return Err(ClusterError::EmptyKRange);
-    }
-
-    // The pairwise distance matrix is identical for every k, so it is
-    // computed exactly once and shared across the sweep; each k then only
-    // pays for its own k-means fit plus an O(n²) silhouette read. The
-    // per-k evaluations are independent and run in parallel; the winner
-    // is picked by a sequential scan in k order with the same strict `>`
-    // the sequential sweep used (ties keep the smallest k).
-    let n = data.n_rows();
-    let dist = pairwise_distances(data, metric, &td_obs::Observer::disabled());
-    let ks: Vec<usize> = (lo..=hi).collect();
-    let evals: Vec<Result<Option<(KMeansResult, f64)>, ClusterError>> = ks
-        .par_iter()
-        .map(|&k| {
-            if cancel.is_some_and(|c| c.is_cancelled()) {
-                return Ok(None); // skipped, not failed
-            }
-            let result = KMeans::new(KMeansConfig { k, ..base }).fit(data)?;
-            let sil = silhouette_paper_dist(&dist, n, &result.assignments);
-            Ok(Some((result, sil)))
-        })
-        .collect();
-
-    let mut best: Option<(usize, KMeansResult, f64)> = None;
-    let mut scores = Vec::with_capacity(ks.len());
-    for (&k, eval) in ks.iter().zip(evals) {
-        let Some((result, sil)) = eval? else { continue };
-        scores.push((k, sil));
-        let better = match &best {
-            None => true,
-            Some((_, _, best_sil)) => sil > *best_sil,
-        };
-        if better {
-            best = Some((k, result, sil));
-        }
-    }
-    let Some((best_k, best_result, best_silhouette)) = best else {
-        return Err(ClusterError::Cancelled);
-    };
-    Ok(KSelection {
-        best_k,
-        best_result,
-        best_silhouette,
-        scores,
-    })
-}
 
 /// The outcome of an elbow sweep.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -194,7 +88,6 @@ pub fn select_k_elbow(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::distance::{Euclidean, Hamming};
 
     fn three_blobs() -> Matrix {
         let mut rows = Vec::new();
@@ -204,80 +97,6 @@ mod tests {
             }
         }
         Matrix::from_rows(&rows)
-    }
-
-    #[test]
-    fn finds_three_blobs() {
-        let sel = select_k(&three_blobs(), 2..=8, &Euclidean, KMeansConfig::with_k(0)).unwrap();
-        assert_eq!(sel.best_k, 3, "scores: {:?}", sel.scores);
-        assert!(sel.best_silhouette > 0.9);
-        assert_eq!(sel.scores.len(), 7);
-    }
-
-    #[test]
-    fn range_is_clamped_to_n() {
-        let data = Matrix::from_rows(&[vec![0.0], vec![1.0], vec![10.0]]);
-        let sel = select_k(&data, 2..=50, &Euclidean, KMeansConfig::with_k(0)).unwrap();
-        assert!(sel.best_k <= 3);
-        assert_eq!(sel.scores.len(), 2); // k = 2, 3
-    }
-
-    #[test]
-    fn errors_on_degenerate_ranges() {
-        let data = Matrix::from_rows(&[vec![0.0], vec![1.0]]);
-        #[allow(clippy::reversed_empty_ranges)]
-        let inverted = 3..=2;
-        assert!(matches!(
-            select_k(&data, inverted, &Euclidean, KMeansConfig::with_k(0)),
-            Err(ClusterError::EmptyKRange)
-        ));
-        let empty = Matrix::from_rows(&[]);
-        assert!(matches!(
-            select_k(&empty, 2..=3, &Euclidean, KMeansConfig::with_k(0)),
-            Err(ClusterError::EmptyInput)
-        ));
-    }
-
-    #[test]
-    fn tie_prefers_smaller_k() {
-        // Identical points: silhouette 0 for every k; the sweep keeps the
-        // first (smallest) k.
-        let data = Matrix::from_rows(&vec![vec![1.0]; 6]);
-        let sel = select_k(&data, 2..=5, &Euclidean, KMeansConfig::with_k(0)).unwrap();
-        assert_eq!(sel.best_k, 2);
-    }
-
-    #[test]
-    fn cancellable_sweep_matches_plain_when_never_cancelled() {
-        let token = td_obs::CancelToken::new();
-        let plain = select_k(&three_blobs(), 2..=8, &Euclidean, KMeansConfig::with_k(0)).unwrap();
-        let c = select_k_cancellable(
-            &three_blobs(),
-            2..=8,
-            &Euclidean,
-            KMeansConfig::with_k(0),
-            &token,
-        )
-        .unwrap();
-        assert_eq!(c.best_k, plain.best_k);
-        assert_eq!(c.best_silhouette.to_bits(), plain.best_silhouette.to_bits());
-        assert_eq!(c.scores, plain.scores);
-    }
-
-    #[test]
-    fn pre_cancelled_sweep_has_no_best_so_far() {
-        let token = td_obs::CancelToken::new();
-        token.cancel();
-        assert!(matches!(
-            select_k_cancellable(
-                &three_blobs(),
-                2..=8,
-                &Euclidean,
-                KMeansConfig::with_k(0),
-                &token
-            ),
-            Err(ClusterError::Cancelled)
-        ));
     }
 
     #[test]
@@ -304,7 +123,7 @@ mod tests {
     }
 
     #[test]
-    fn elbow_errors_match_silhouette_sweep() {
+    fn elbow_errors_on_degenerate_ranges() {
         let empty = Matrix::from_rows(&[]);
         assert!(matches!(
             select_k_elbow(&empty, 1..=3, KMeansConfig::with_k(0)),
@@ -324,20 +143,5 @@ mod tests {
         let data = Matrix::from_rows(&[vec![0.0], vec![1.0], vec![9.0]]);
         let sel = select_k_elbow(&data, 2..=3, KMeansConfig::with_k(0)).unwrap();
         assert_eq!(sel.best_k, 2);
-    }
-
-    #[test]
-    fn truth_vector_shape_from_paper_running_example() {
-        // Table 2 of the paper: rows = attributes Q1..Q3 over 6
-        // (object, source) columns; Q1 and Q3 are identical, Q2 differs.
-        let data = Matrix::from_rows(&[
-            vec![1.0, 0.0, 0.0, 0.0, 1.0, 1.0],
-            vec![0.0, 0.0, 1.0, 1.0, 0.0, 1.0],
-            vec![1.0, 0.0, 0.0, 0.0, 1.0, 1.0],
-        ]);
-        let sel = select_k(&data, 2..=2, &Hamming, KMeansConfig::with_k(0)).unwrap();
-        let asg = &sel.best_result.assignments;
-        assert_eq!(asg[0], asg[2], "Q1 and Q3 are correlated");
-        assert_ne!(asg[0], asg[1], "Q2 stands apart");
     }
 }

@@ -25,7 +25,8 @@
 //! * [`silhouette`] — per-sample, per-cluster and partition-level
 //!   silhouette coefficients, in both the standard (global mean) and the
 //!   paper's macro-averaged form (Eqs. 5–7);
-//! * [`kselect`] — the `k ∈ [2, n-1]` sweep of TD-AC's Algorithm 1;
+//! * [`kselect`] — elbow-method selection of k, the ablation baseline
+//!   for TD-AC's silhouette sweep (which lives in `tdac-core`);
 //! * [`pam`] — k-medoids (PAM), the natural ablation for clustering
 //!   binary vectors under a true Hamming metric;
 //! * [`hierarchical`] — agglomerative clustering (single / complete /
@@ -52,7 +53,7 @@ pub use distance::{
 pub use error::ClusterError;
 pub use hierarchical::{Agglomerative, Linkage};
 pub use kmeans::{Init, KMeans, KMeansConfig, KMeansResult};
-pub use kselect::{select_k, select_k_cancellable, select_k_elbow, ElbowSelection, KSelection};
+pub use kselect::{select_k_elbow, ElbowSelection};
 pub use matrix::Matrix;
 pub use pam::{Pam, PamConfig, PamResult};
 pub use silhouette::{

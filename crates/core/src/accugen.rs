@@ -43,6 +43,7 @@ use td_obs::{
 
 use crate::config::Parallelism;
 use crate::partition::{bell_number, partitions_iter, AttributePartition};
+use crate::tdac::Metering;
 
 /// Reliability-based partition scoring functions from the WebDB 2015
 /// paper.
@@ -216,17 +217,6 @@ impl AccuGenPartition {
         })
     }
 
-    /// Counter-based budgets meter observer counters, so an active limit
-    /// with a disabled user observer runs against a private enabled
-    /// handle; the user-facing profile stays keyed to their own handle.
-    fn effective_observer(&self) -> Observer {
-        if self.limits.is_active() && !self.observer.is_enabled() {
-            Observer::enabled()
-        } else {
-            self.observer.clone()
-        }
-    }
-
     fn search(
         &self,
         dataset: &Dataset,
@@ -249,10 +239,10 @@ impl AccuGenPartition {
         // demand, fold locally with `combine`, and the worker accumulators
         // are combined with the same total order — never materializing
         // the Bell(n)-sized vector the old scan chunked over.
-        let baseline = self.observer.profile();
-        let obs = self.effective_observer();
+        let metering = Metering::start(&self.limits, &self.observer);
+        let obs = &metering.obs;
         let bell = bell_number(n);
-        let budget = Budget::arm(&self.limits, &obs);
+        let budget = Budget::arm(&self.limits, obs);
         // A `max_partitions` cap truncates the *sequential* stream before
         // the parallel bridge: the scanned set is an exact prefix of the
         // enumeration order, identical at any thread count (and index 0 —
@@ -268,9 +258,8 @@ impl AccuGenPartition {
         // pick the smallest-index failure deterministically.
         type Carrier = Result<Option<Scored>, (usize, String)>;
         let budget_ref = budget.as_ref();
-        let obs_ref = &obs;
         let best: Carrier = self.parallelism.install(|| {
-            let _scan = obs_ref.span("partition_scan");
+            let _scan = obs.span("partition_scan");
             partitions_iter(&attrs)
                 .take(limit as usize)
                 .enumerate()
@@ -282,9 +271,9 @@ impl AccuGenPartition {
                         return Ok(None);
                     }
                     match catch_unwind(AssertUnwindSafe(|| {
-                        obs_ref.checkpoint("partition_scan/partition");
-                        obs_ref.incr(Counter::PartitionsScanned, 1);
-                        let (score, result) = score_fn(&partition, obs_ref);
+                        obs.checkpoint("partition_scan/partition");
+                        obs.incr(Counter::PartitionsScanned, 1);
+                        let (score, result) = score_fn(&partition, obs);
                         Scored {
                             index,
                             score,
@@ -294,7 +283,7 @@ impl AccuGenPartition {
                     })) {
                         Ok(scored) => Ok(Some(scored)),
                         Err(payload) => {
-                            obs_ref.incr(Counter::WorkerPanics, 1);
+                            obs.incr(Counter::WorkerPanics, 1);
                             Err((index, panic_message(payload.as_ref())))
                         }
                     }
@@ -336,7 +325,7 @@ impl AccuGenPartition {
                 // first partition of the enumeration — one bounded base
                 // run over the un-split attribute set.
                 let first = partitions_iter(&attrs).next().expect("n > 0");
-                let (score, result) = score_fn(&first, obs_ref);
+                let (score, result) = score_fn(&first, obs);
                 n_partitions = 1;
                 Scored {
                     index: 0,
@@ -352,15 +341,7 @@ impl AccuGenPartition {
             score: best.score,
             n_partitions,
             degradation,
-            profile: self.profile_delta(baseline),
-        })
-    }
-
-    /// This run's profile delta against the snapshot taken at entry.
-    fn profile_delta(&self, baseline: Option<RunProfile>) -> Option<RunProfile> {
-        self.observer.profile().map(|p| match &baseline {
-            Some(b) => p.delta_since(b),
-            None => p,
+            profile: metering.profile(),
         })
     }
 
@@ -382,9 +363,9 @@ impl AccuGenPartition {
         if attrs.is_empty() {
             return Err(AccuGenError::NoAttributes);
         }
-        let baseline = self.observer.profile();
-        let obs = self.effective_observer();
-        let budget = Budget::arm(&self.limits, &obs);
+        let metering = Metering::start(&self.limits, &self.observer);
+        let obs = &metering.obs;
+        let budget = Budget::arm(&self.limits, obs);
         let _scan = obs.span("partition_scan");
 
         // Panic-isolated evaluation of one candidate: a poisoned
@@ -393,7 +374,7 @@ impl AccuGenPartition {
             catch_unwind(AssertUnwindSafe(|| {
                 obs.checkpoint("partition_scan/partition");
                 obs.incr(Counter::PartitionsScanned, 1);
-                self.evaluate_weighted(base, dataset, partition, weighting, &obs)
+                self.evaluate_weighted(base, dataset, partition, weighting, obs)
             }))
             .map_err(|payload| {
                 obs.incr(Counter::WorkerPanics, 1);
@@ -455,7 +436,7 @@ impl AccuGenPartition {
             score,
             n_partitions: evaluated,
             degradation,
-            profile: self.profile_delta(baseline),
+            profile: metering.profile(),
         })
     }
 

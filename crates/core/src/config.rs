@@ -224,6 +224,18 @@ impl TdacConfig {
         }
     }
 
+    /// Algorithm 1's sweep range `k ∈ [k_min, min(k_max, n-1)]` over `n`
+    /// clustered rows (attributes; objects for TD-OC). Empty when
+    /// partitioning is meaningless (fewer than 3 rows, or `k_min` above
+    /// the cap): the run then answers un-partitioned.
+    pub(crate) fn k_range(&self, n: usize) -> Vec<usize> {
+        if n < 3 {
+            return Vec::new();
+        }
+        let k_hi = self.k_max.unwrap_or(n - 1).min(n - 1);
+        (self.k_min..=k_hi).collect()
+    }
+
     /// The distance-kernel policy the shared pairwise matrix actually
     /// uses; same resolution rule as
     /// [`TdacConfig::effective_parallelism`].

@@ -91,12 +91,8 @@ impl Tdoc {
         if n_objects == 0 {
             return Err(TdacError::NoAttributes);
         }
-        let k_hi = self
-            .config
-            .k_max
-            .unwrap_or(n_objects.saturating_sub(1))
-            .min(n_objects.saturating_sub(1));
-        if n_objects < 3 || self.config.k_min > k_hi {
+        let ks = self.config.k_range(n_objects);
+        if ks.is_empty() {
             let mut result = {
                 let _s = obs.span("per_group_run");
                 base.discover_observed(&dataset.view_all(), obs)
@@ -138,7 +134,7 @@ impl Tdoc {
         let _sweep = obs.span("k_sweep");
         let mut best: Option<(f64, Vec<usize>)> = None;
         let mut k_scores = Vec::new();
-        for k in self.config.k_min..=k_hi {
+        for k in ks {
             let _sk = obs.span_with(|| format!("k_sweep/k={k}"));
             let cfg = KMeansConfig {
                 k,

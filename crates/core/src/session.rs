@@ -48,7 +48,6 @@
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use clustering::{silhouette_paper_dist, DistanceOptions};
 use serde::{Deserialize, Serialize};
@@ -56,14 +55,14 @@ use td_algorithms::{TruthDiscovery, TruthResult};
 use td_model::{
     AttributeId, ClaimBatch, Dataset, DeltaDataset, DeltaSummary, ModelError,
 };
-use td_obs::{panic_message, Budget, Counter, Degradation, DegradationReason, Observer};
+use td_obs::{Budget, Counter, Degradation, Observer};
 use td_store::DatasetStore;
 
 use crate::config::TdacConfig;
 use crate::partition::AttributePartition;
 use crate::tdac::{
-    exhausted, merge_partials, page_matches, per_group_partials, scan_winner, sweep_dense,
-    TdacError, TdacOutcome,
+    exhausted, half_pairs, merge_partials, per_group_partials, run_spine, select_partition,
+    store_seed, sweep, PartitionedModel, TdacError, TdacOutcome, Verdict,
 };
 use crate::truth_vectors::{
     rescatter_rows, truth_vector_set, truth_vector_set_from_result, TruthVectors,
@@ -243,10 +242,7 @@ impl<B: TruthDiscovery + Sync> TdacSession<B> {
         policy: RepartitionPolicy,
         store: &DatasetStore,
     ) -> Result<Self, SessionError> {
-        let seed = store
-            .page(base.name(), false)
-            .filter(|p| page_matches(p, &store.dataset, false))
-            .map(|p| p.reference.clone());
+        let seed = store_seed(store, base.name(), false).map(|p| p.reference.clone());
         Self::start_inner(base, config, policy, store.dataset.clone(), seed)
     }
 
@@ -280,31 +276,11 @@ impl<B: TruthDiscovery + Sync> TdacSession<B> {
             }
         }
         let delta = DeltaDataset::new(dataset)?;
-
-        let user_obs = config.observer.clone();
-        let baseline = user_obs.profile();
-        let obs = run_observer(&config, &user_obs);
         let cache = HashMap::new();
-        let caught = catch_unwind(AssertUnwindSafe(|| {
-            config.effective_parallelism().install(|| {
-                let budget = Budget::arm(&config.limits, &obs);
-                pass_full(&base, &config, delta.current(), seed, &cache, &obs, budget.as_ref())
-            })
-        }));
-        let mut pass = match caught {
-            Ok(result) => result?,
-            Err(payload) => {
-                obs.incr(Counter::WorkerPanics, 1);
-                return Err(SessionError::Tdac(TdacError::WorkerPanic {
-                    phase: "pipeline".to_string(),
-                    detail: panic_message(payload.as_ref()),
-                }));
-            }
-        };
-        pass.outcome.profile = user_obs.profile().map(|p| match &baseline {
-            Some(b) => p.delta_since(b),
-            None => p,
-        });
+        let (mut pass, profile) = run_spine(&config, |obs, budget| {
+            pass_full(&base, &config, delta.current(), seed, &cache, obs, budget)
+        })?;
+        pass.outcome.profile = profile;
         Ok(Self {
             base,
             config,
@@ -333,36 +309,22 @@ impl<B: TruthDiscovery + Sync> TdacSession<B> {
     /// invalidated, so the next ingest rebuilds what it needs.
     pub fn ingest(&mut self, batch: &ClaimBatch) -> Result<IngestReport, SessionError> {
         let summary = self.delta.apply(batch)?;
-        let user_obs = self.config.observer.clone();
-        let baseline = user_obs.profile();
-        let obs = run_observer(&self.config, &user_obs);
-        let parallelism = self.config.effective_parallelism();
-        let limits = self.config.limits.clone();
-        let caught = catch_unwind(AssertUnwindSafe(|| {
-            parallelism.install(|| {
-                let budget = Budget::arm(&limits, &obs);
-                self.ingest_inner(&summary, &obs, budget.as_ref())
-            })
-        }));
-        let mut stats = match caught {
-            Ok(result) => result?,
-            Err(payload) => {
-                // A panic may have interrupted state maintenance:
-                // invalidate the incremental intermediates so the next
-                // ingest rebuilds from the (consistent) dataset.
-                self.derived = None;
-                self.cache.clear();
-                obs.incr(Counter::WorkerPanics, 1);
-                return Err(SessionError::Tdac(TdacError::WorkerPanic {
-                    phase: "pipeline".to_string(),
-                    detail: panic_message(payload.as_ref()),
-                }));
-            }
-        };
-        stats.outcome.profile = user_obs.profile().map(|p| match &baseline {
-            Some(b) => p.delta_since(b),
-            None => p,
-        });
+        // The spine reads the config while the body mutates the session.
+        let config = self.config.clone();
+        let (mut stats, profile) =
+            match run_spine(&config, |obs, budget| self.ingest_inner(&summary, obs, budget)) {
+                Ok(done) => done,
+                Err(e) => {
+                    // A failure may have interrupted state maintenance, or
+                    // left state built for the dataset before this batch:
+                    // invalidate the incremental intermediates so the next
+                    // ingest rebuilds from the (consistent) dataset.
+                    self.derived = None;
+                    self.cache.clear();
+                    return Err(e.into());
+                }
+            };
+        stats.outcome.profile = profile;
         self.outcome = stats.outcome.clone();
         Ok(IngestReport {
             groups_total: stats.outcome.partition.len(),
@@ -392,7 +354,7 @@ impl<B: TruthDiscovery + Sync> TdacSession<B> {
             pin_is_fallback,
             silhouette_at_pin,
             cache,
-            outcome,
+            outcome: _,
         } = self;
         let dataset = delta.current();
         let view = dataset.view_all();
@@ -465,7 +427,6 @@ impl<B: TruthDiscovery + Sync> TdacSession<B> {
                 pin_is_fallback,
                 silhouette_at_pin,
                 cache,
-                outcome,
             );
             return Ok(IngestStats {
                 outcome: out,
@@ -488,8 +449,7 @@ impl<B: TruthDiscovery + Sync> TdacSession<B> {
             // The distance matrix was not updated; drop the dense state
             // so the next ingest rebuilds instead of trusting it.
             *derived = None;
-            let out = degraded_outcome(reference.clone(), &attrs, Vec::new(), deg);
-            *outcome = out.clone();
+            let out = TdacOutcome::whole(reference.clone(), &attrs, Vec::new(), Some(deg));
             return Ok(IngestStats {
                 outcome: out,
                 dirty,
@@ -568,7 +528,6 @@ impl<B: TruthDiscovery + Sync> TdacSession<B> {
                 pin_is_fallback,
                 silhouette_at_pin,
                 cache,
-                outcome,
             );
             return Ok(IngestStats {
                 outcome: out,
@@ -584,8 +543,7 @@ impl<B: TruthDiscovery + Sync> TdacSession<B> {
         // exhausted budget, exactly like the batch pipeline.
         if let Some(b) = budget {
             if let Some(deg) = b.check("per_group_run") {
-                let out = degraded_outcome(reference.clone(), &attrs, Vec::new(), deg);
-                *outcome = out.clone();
+                let out = TdacOutcome::whole(reference.clone(), &attrs, Vec::new(), Some(deg));
                 return Ok(IngestStats {
                     outcome: out,
                     dirty,
@@ -611,7 +569,6 @@ impl<B: TruthDiscovery + Sync> TdacSession<B> {
             degradation: None,
             profile: None,
         };
-        *outcome = out.clone();
         Ok(IngestStats {
             outcome: out,
             dirty,
@@ -696,22 +653,6 @@ impl<B: fmt::Debug> fmt::Debug for TdacSession<B> {
     }
 }
 
-/// The observer a run executes against: the user's handle, or a private
-/// enabled one when counter-metered limits are active but the user's
-/// observer is disabled (mirrors [`crate::Tdac::run_view`]).
-fn run_observer(config: &TdacConfig, user_obs: &Observer) -> Observer {
-    if config.limits.is_active() && !user_obs.is_enabled() {
-        Observer::enabled()
-    } else {
-        user_obs.clone()
-    }
-}
-
-/// Unordered pairs among `n` rows.
-fn half_pairs(n: usize) -> u64 {
-    (n * n.saturating_sub(1) / 2) as u64
-}
-
 /// Cluster assignment per attribute (in `attrs` order) induced by a
 /// partition covering exactly those attributes.
 fn assignments_of(pin: &AttributePartition, attrs: &[AttributeId]) -> Vec<usize> {
@@ -730,7 +671,6 @@ fn assignments_of(pin: &AttributePartition, attrs: &[AttributeId]) -> Vec<usize>
 /// Installs a pass's outputs into the session state and returns the
 /// outcome. Degraded passes carry no partials; the (already pruned)
 /// cache then survives as-is.
-#[allow(clippy::too_many_arguments)]
 fn adopt(
     pass: PassOutput,
     reference: &mut TruthResult,
@@ -739,7 +679,6 @@ fn adopt(
     pin_is_fallback: &mut bool,
     silhouette_at_pin: &mut f64,
     cache: &mut HashMap<Vec<AttributeId>, TruthResult>,
-    outcome: &mut TdacOutcome,
 ) -> TdacOutcome {
     *reference = pass.reference;
     *derived = pass.derived;
@@ -749,49 +688,33 @@ fn adopt(
     if !pass.partials.is_empty() {
         *cache = pass.partials.into_iter().collect();
     }
-    *outcome = pass.outcome.clone();
     pass.outcome
 }
 
-/// A degraded (budget-exhausted) outcome: the reference result under
-/// the un-partitioned whole, flagged — mirrors the batch pipeline's
-/// best-so-far discipline.
-fn degraded_outcome(
+/// A pass answering with the reference under the un-partitioned whole.
+/// A fallback seeds the reuse cache with the reference as the whole
+/// group's partial (same algorithm, same view, same bits); a degraded
+/// pass carries no partials, so the (already pruned) cache survives.
+fn whole_pass(
     reference: TruthResult,
     attrs: &[AttributeId],
     k_scores: Vec<(usize, f64)>,
-    degradation: Degradation,
-) -> TdacOutcome {
-    let mut result = reference;
-    result.iterations = 1;
-    TdacOutcome {
-        result,
-        partition: AttributePartition::whole(attrs),
-        silhouette: 0.0,
-        k_scores,
-        fallback: true,
-        degradation: Some(degradation),
-        profile: None,
-    }
-}
-
-fn degraded_pass(
-    reference: TruthResult,
-    attrs: &[AttributeId],
-    k_scores: Vec<(usize, f64)>,
-    degradation: Degradation,
+    degradation: Option<Degradation>,
     derived: Option<Derived>,
 ) -> PassOutput {
-    let outcome = degraded_outcome(reference.clone(), attrs, k_scores, degradation);
-    let pin = outcome.partition.clone();
+    let partials = match degradation {
+        None => vec![(attrs.to_vec(), reference.clone())],
+        Some(_) => Vec::new(),
+    };
+    let outcome = TdacOutcome::whole(reference.clone(), attrs, k_scores, degradation);
     PassOutput {
+        pin: outcome.partition.clone(),
         outcome,
         reference,
         derived,
-        pin,
         pin_is_fallback: true,
         silhouette_at_pin: 0.0,
-        partials: Vec::new(),
+        partials,
         groups_reused: 0,
     }
 }
@@ -812,13 +735,10 @@ fn pass_full(
 ) -> Result<PassOutput, TdacError> {
     let view = dataset.view_all();
     let attrs = view.attributes().to_vec();
-    let n = attrs.len();
-    if n == 0 {
+    if attrs.is_empty() {
         return Err(TdacError::NoAttributes);
     }
-
-    let k_hi = config.k_max.unwrap_or(n.saturating_sub(1)).min(n.saturating_sub(1));
-    if n < 3 || config.k_min > k_hi {
+    if config.k_range(attrs.len()).is_empty() {
         // Mirror the batch pipeline's small-|A| fallback: one
         // un-partitioned base run (the reference itself when already
         // computed — same algorithm, same view, same bits).
@@ -826,30 +746,9 @@ fn pass_full(
             let _s = obs.span("per_group_run");
             base.discover_observed(&view, obs)
         });
-        let mut result = reference.clone();
-        result.iterations = 1;
-        let pin = AttributePartition::whole(&attrs);
-        return Ok(PassOutput {
-            outcome: TdacOutcome {
-                result,
-                partition: pin.clone(),
-                silhouette: 0.0,
-                k_scores: Vec::new(),
-                fallback: true,
-                degradation: None,
-                profile: None,
-            },
-            partials: vec![(attrs.clone(), reference.clone())],
-            reference,
-            derived: None,
-            pin,
-            pin_is_fallback: true,
-            silhouette_at_pin: 0.0,
-            groups_reused: 0,
-        });
+        return Ok(whole_pass(reference, &attrs, Vec::new(), None, None));
     }
 
-    let pairs = half_pairs(n);
     let (vectors, reference) = {
         let _s = obs.span("truth_vectors");
         match reference {
@@ -857,8 +756,8 @@ fn pass_full(
             None => truth_vector_set(base, &view, obs),
         }
     };
-    if let Some(deg) = exhausted(budget, "truth_vectors", pairs) {
-        return Ok(degraded_pass(reference, &attrs, Vec::new(), deg, None));
+    if let Some(deg) = exhausted(budget, "truth_vectors", half_pairs(attrs.len())) {
+        return Ok(whole_pass(reference, &attrs, Vec::new(), Some(deg), None));
     }
     let dist = {
         let _s = obs.span("distance_matrix");
@@ -884,9 +783,10 @@ fn pass_full(
 
 /// The silhouette k-sweep plus the per-group finish, over
 /// already-maintained truth vectors and distances. Shared by the full
-/// pass and the incremental re-sweep; the control flow mirrors
-/// [`crate::Tdac::run_view`] exactly (winner scan, degradation rules,
-/// silhouette floor, per-group budget probe).
+/// pass and the incremental re-sweep; the sweep and the selection
+/// policy are [`crate::Tdac::run_view`]'s own. Step 4 + 5 are
+/// cache-aware: clean groups reuse their cached partial, dirty ones run
+/// fresh, the merge is unchanged.
 #[allow(clippy::too_many_arguments)]
 fn sweep_and_finish(
     base: &(dyn TruthDiscovery + Sync),
@@ -899,92 +799,22 @@ fn sweep_and_finish(
     obs: &Observer,
     budget: Option<&Budget>,
 ) -> Result<PassOutput, TdacError> {
-    let n = attrs.len();
-    let k_hi = config.k_max.unwrap_or(n - 1).min(n - 1);
-    let ks: Vec<usize> = (config.k_min..=k_hi).collect();
-    let evals = sweep_dense(config, &derived.vectors.dense, &derived.dist, &ks, obs, budget);
-    let (k_scores, best) = scan_winner(&ks, evals)?;
-
-    let sweep_degradation = if k_scores.len() < ks.len() {
-        let b = budget.expect("k values are only skipped under a budget");
-        let reason = b.interrupted().unwrap_or(DegradationReason::Cancelled);
-        Some(b.degrade(reason, "k_sweep"))
-    } else {
-        None
-    };
-    let Some((silhouette, assignments, _k)) = best else {
-        let deg = sweep_degradation.expect("an empty sweep implies skips");
-        return Ok(degraded_pass(reference, attrs, k_scores, deg, Some(derived)));
-    };
-    if let Some(deg) = sweep_degradation {
-        if deg.reason == DegradationReason::Cancelled {
-            return Ok(degraded_pass(reference, attrs, k_scores, deg, Some(derived)));
-        }
-        // Deadline overshoot: the best-so-far k is worth the (bounded)
-        // per-group replay — the outcome stays flagged.
-        return finish_groups(
-            base, dataset, attrs, &assignments, silhouette, k_scores, derived, reference,
-            cache, obs, Some(deg),
-        );
-    }
-
-    if let Some(floor) = config.min_silhouette {
-        if silhouette <= floor {
-            // The batch pipeline's fallback re-runs the base algorithm
-            // on the full view; that run is bit-identical to the
-            // reference, which is reused instead.
-            let mut result = reference.clone();
-            result.iterations = 1;
-            let pin = AttributePartition::whole(attrs);
-            return Ok(PassOutput {
-                outcome: TdacOutcome {
-                    result,
-                    partition: pin.clone(),
-                    silhouette: 0.0,
-                    k_scores,
-                    fallback: true,
-                    degradation: None,
-                    profile: None,
-                },
-                partials: vec![(attrs.to_vec(), reference.clone())],
-                reference,
-                derived: Some(derived),
-                pin,
-                pin_is_fallback: true,
-                silhouette_at_pin: 0.0,
-                groups_reused: 0,
-            });
-        }
-    }
-
-    if let Some(b) = budget {
-        if let Some(deg) = b.check("per_group_run") {
-            return Ok(degraded_pass(reference, attrs, k_scores, deg, Some(derived)));
-        }
-    }
-    finish_groups(
-        base, dataset, attrs, &assignments, silhouette, k_scores, derived, reference, cache,
-        obs, None,
-    )
-}
-
-/// Step 4 + 5 with cache-aware per-group runs: clean groups reuse their
-/// cached partial, dirty ones run fresh, the merge is unchanged.
-#[allow(clippy::too_many_arguments)]
-fn finish_groups(
-    base: &(dyn TruthDiscovery + Sync),
-    dataset: &Dataset,
-    attrs: &[AttributeId],
-    assignments: &[usize],
-    silhouette: f64,
-    k_scores: Vec<(usize, f64)>,
-    derived: Derived,
-    reference: TruthResult,
-    cache: &HashMap<Vec<AttributeId>, TruthResult>,
-    obs: &Observer,
-    degradation: Option<Degradation>,
-) -> Result<PassOutput, TdacError> {
-    let partition = AttributePartition::from_assignments(attrs, assignments);
+    let ks = config.k_range(attrs.len());
+    let Derived { vectors, dist } = &derived;
+    let evals = sweep(config, config.method, &vectors.dense, dist, &ks, obs, budget);
+    let PartitionedModel { reference, partition, silhouette, k_scores, degradation } =
+        match select_partition(config, attrs, &ks, evals, budget, reference)? {
+            Verdict::Partition(model) => model,
+            // The batch pipeline's floor fallback re-runs the base
+            // algorithm on the full view; that run is bit-identical to
+            // the reference, which is reused instead.
+            Verdict::Floor(reference, k_scores) => {
+                return Ok(whole_pass(reference, attrs, k_scores, None, Some(derived)))
+            }
+            Verdict::Degraded(reference, k_scores, deg) => {
+                return Ok(whole_pass(reference, attrs, k_scores, Some(deg), Some(derived)))
+            }
+        };
     let groups = partition.groups().to_vec();
     let cached: Vec<Option<TruthResult>> = groups.iter().map(|g| cache.get(g).cloned()).collect();
     let groups_reused = cached.iter().flatten().count();

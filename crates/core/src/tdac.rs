@@ -11,8 +11,11 @@ use clustering::{
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use td_algorithms::{TruthDiscovery, TruthResult};
-use td_model::{Dataset, DatasetView};
-use td_obs::{panic_message, Budget, Counter, Degradation, DegradationReason, Observer, RunProfile};
+use td_model::{AttributeId, Dataset, DatasetView};
+use td_obs::{
+    panic_message, Budget, Counter, Degradation, DegradationReason, ExecutionLimits, Observer,
+    RunProfile,
+};
 use td_store::{DatasetStore, TruthPage};
 
 use crate::config::{ClusterMethod, TdacConfig};
@@ -162,22 +165,31 @@ impl PartitionedModel {
     /// produces when its own per-group phase is refused. A partial
     /// merge is never an option.
     pub fn into_degraded(self, degradation: Degradation) -> TdacOutcome {
-        let mut attrs: Vec<td_model::AttributeId> = self
-            .partition
-            .groups()
-            .iter()
-            .flat_map(|g| g.iter().copied())
-            .collect();
-        attrs.sort_unstable();
-        let mut result = self.reference;
+        let attrs = self.partition.groups().concat();
+        TdacOutcome::whole(self.reference, &attrs, self.k_scores, Some(degradation))
+    }
+}
+
+impl TdacOutcome {
+    /// The un-partitioned answer: `result` under the single-group
+    /// partition of `attrs`, reported as one logical iteration. Every
+    /// fallback (too few attributes, silhouette floor) and every
+    /// degraded best-so-far outcome (the reference result, flagged)
+    /// takes this shape.
+    pub(crate) fn whole(
+        mut result: TruthResult,
+        attrs: &[AttributeId],
+        k_scores: Vec<(usize, f64)>,
+        degradation: Option<Degradation>,
+    ) -> Self {
         result.iterations = 1;
         TdacOutcome {
             result,
-            partition: AttributePartition::whole(&attrs),
+            partition: AttributePartition::whole(attrs),
             silhouette: 0.0,
-            k_scores: self.k_scores,
+            k_scores,
             fallback: true,
-            degradation: Some(degradation),
+            degradation,
             profile: None,
         }
     }
@@ -188,40 +200,88 @@ impl PartitionedModel {
 /// clustering, `Err` a failed one.
 pub(crate) type KEval = Result<Option<(Vec<usize>, f64)>, TdacError>;
 
-/// Runs one per-k sweep body under panic isolation: a panicking worker
-/// (clusterer bug, poisoned data) surfaces as [`TdacError::WorkerPanic`]
-/// naming the k, never an abort.
-pub(crate) fn isolate_k(
-    k: usize,
-    obs: &Observer,
-    body: impl FnOnce() -> Result<(Vec<usize>, f64), ClusterError>,
-) -> KEval {
-    match catch_unwind(AssertUnwindSafe(body)) {
-        Ok(Ok(eval)) => Ok(Some(eval)),
-        Ok(Err(e)) => Err(TdacError::Cluster(e)),
+/// The run spine every in-process entry point shares ([`Tdac::run_view`],
+/// [`Tdac::select_model_view`], and the session's start and ingest):
+/// meter the run, install the configured thread pool, arm the budget,
+/// and run `body`. Per-worker boundaries inside convert parallel panics
+/// precisely; this top-level catch covers the sequential spine, so no
+/// panic anywhere in the pipeline crosses a public entry point — it
+/// becomes [`TdacError::WorkerPanic`] with phase `pipeline`. Returns the
+/// body's value with this run's profile.
+pub(crate) fn run_spine<T>(
+    config: &TdacConfig,
+    body: impl FnOnce(&Observer, Option<&Budget>) -> Result<T, TdacError>,
+) -> Result<(T, Option<RunProfile>), TdacError> {
+    let metering = Metering::start(&config.limits, &config.observer);
+    let obs = &metering.obs;
+    let caught = catch_unwind(AssertUnwindSafe(|| {
+        config.effective_parallelism().install(|| {
+            let budget = Budget::arm(&config.limits, obs);
+            body(obs, budget.as_ref())
+        })
+    }));
+    match caught {
+        Ok(result) => Ok((result?, metering.profile())),
         Err(payload) => {
             obs.incr(Counter::WorkerPanics, 1);
             Err(TdacError::WorkerPanic {
-                phase: format!("k_sweep/k={k}"),
+                phase: "pipeline".to_string(),
                 detail: panic_message(payload.as_ref()),
             })
         }
     }
 }
 
-/// One clustering of `data` into `k` groups, reusing the shared pairwise
-/// distance matrix wherever the method allows: PAM and hierarchical
-/// clustering are purely distance-based and never touch the feature
-/// vectors again; k-means still optimizes Eq. 3 inertia in feature space
-/// (centroids have no distance-matrix form).
-pub(crate) fn cluster_cached(
+/// The observer one run records against, plus the user's profile at
+/// entry. Counter-based budgets are metered on observer counters, so an
+/// active limit with a disabled user observer runs against a private
+/// enabled handle — the user's profile (and the observation-neutrality
+/// contract) is untouched.
+pub(crate) struct Metering {
+    user: Observer,
+    baseline: Option<RunProfile>,
+    /// The handle the run records against.
+    pub(crate) obs: Observer,
+}
+
+impl Metering {
+    pub(crate) fn start(limits: &ExecutionLimits, user: &Observer) -> Self {
+        let obs = if limits.is_active() && !user.is_enabled() {
+            Observer::enabled()
+        } else {
+            user.clone()
+        };
+        Self {
+            user: user.clone(),
+            baseline: user.profile(),
+            obs,
+        }
+    }
+
+    /// This run's delta on the user's handle (`None` when it is
+    /// disabled), even when the handle is reused across runs.
+    pub(crate) fn profile(&self) -> Option<RunProfile> {
+        self.user.profile().map(|p| match &self.baseline {
+            Some(b) => p.delta_since(b),
+            None => p,
+        })
+    }
+}
+
+/// One clustering of `data` into `k` groups with `method`, reusing the
+/// shared pairwise distance matrix wherever the method allows: PAM and
+/// hierarchical clustering are purely distance-based and never touch the
+/// feature vectors again; k-means still optimizes Eq. 3 inertia in
+/// feature space (centroids have no distance-matrix form).
+fn cluster_cached(
     config: &TdacConfig,
+    method: ClusterMethod,
     data: &Matrix,
     dist: &[f64],
     k: usize,
     obs: &Observer,
 ) -> Result<Vec<usize>, ClusterError> {
-    match config.method {
+    match method {
         ClusterMethod::KMeans => {
             let cfg = KMeansConfig {
                 k,
@@ -246,60 +306,130 @@ pub(crate) fn cluster_cached(
     }
 }
 
-/// The dense-path silhouette sweep over the shared distance matrix —
-/// the parallel body of [`Tdac::run_view`], shared verbatim with the
-/// incremental [`crate::session::TdacSession`] so both drivers stay
-/// bit-identical by construction. Independent k values run in parallel;
-/// the caller picks the winner with [`scan_winner`].
-pub(crate) fn sweep_dense(
+/// Algorithm 1's silhouette k sweep, the only one: the batch pipeline
+/// (dense and masked) and the incremental session all call it. Every
+/// k of `ks` is clustered with `method` and scored from the shared
+/// distance matrix `dist` (one row of `data` per attribute).
+/// Independent k values run in parallel, each under panic isolation: a
+/// panicking worker (clusterer bug, poisoned data) surfaces as
+/// [`TdacError::WorkerPanic`] naming the k, never an abort. Under an
+/// interrupted budget, k values not yet started are skipped. The caller
+/// picks the winner with [`select_partition`].
+pub(crate) fn sweep(
     config: &TdacConfig,
-    dense: &Matrix,
+    method: ClusterMethod,
+    data: &Matrix,
     dist: &[f64],
     ks: &[usize],
     obs: &Observer,
     budget: Option<&Budget>,
 ) -> Vec<KEval> {
-    let n = dense.n_rows();
+    let n = data.n_rows();
     let _sweep = obs.span("k_sweep");
     ks.par_iter()
         .map(|&k| {
             if budget.is_some_and(|b| b.interrupted().is_some()) {
                 return Ok(None); // skipped, not failed
             }
-            isolate_k(k, obs, || {
+            catch_unwind(AssertUnwindSafe(|| {
                 let _sk = obs.span_with(|| format!("k_sweep/k={k}"));
                 obs.incr(Counter::DistCacheHits, 1);
                 let assignments = {
                     let _c = obs.span("cluster");
-                    cluster_cached(config, dense, dist, k, obs)?
+                    cluster_cached(config, method, data, dist, k, obs)?
                 };
                 let sil = silhouette_paper_dist(dist, n, &assignments);
-                Ok((assignments, sil))
+                Ok(Some((assignments, sil)))
+            }))
+            .unwrap_or_else(|payload| {
+                obs.incr(Counter::WorkerPanics, 1);
+                Err(TdacError::WorkerPanic {
+                    phase: format!("k_sweep/k={k}"),
+                    detail: panic_message(payload.as_ref()),
+                })
             })
         })
         .collect()
 }
 
-/// Sequential winner scan over the sweep evaluations, in k order: the
-/// first error wins (matching the sequential sweep), skipped entries
-/// drop out, and strict `>` keeps the smallest k on silhouette ties
-/// like Algorithm 1's comparison. Returns the `(k, silhouette)` scores
-/// and the best `(silhouette, assignments, k)`.
-#[allow(clippy::type_complexity)]
-pub(crate) fn scan_winner(
+/// What model selection decided once the sweep is in. Every verdict
+/// hands the reference result back: the partitioned model keeps it as
+/// its best-so-far answer, the others answer un-partitioned with it.
+pub(crate) enum Verdict {
+    /// Run the per-group phase under the model's partition.
+    Partition(PartitionedModel),
+    /// The winner's silhouette is at or below the configured floor: no
+    /// structure found, answer un-partitioned.
+    Floor(TruthResult, Vec<(usize, f64)>),
+    /// The budget ran out or the run was cancelled: answer with the
+    /// reference, flagged, and start no new work.
+    Degraded(TruthResult, Vec<(usize, f64)>, Degradation),
+}
+
+/// The winner scan and the selection policy that every driver shares.
+///
+/// The scan runs in k order: the first error wins (matching the
+/// sequential sweep), skipped entries drop out, and strict `>` keeps the
+/// smallest k on silhouette ties like Algorithm 1's comparison.
+pub(crate) fn select_partition(
+    config: &TdacConfig,
+    attrs: &[AttributeId],
     ks: &[usize],
     evals: Vec<KEval>,
-) -> Result<(Vec<(usize, f64)>, Option<(f64, Vec<usize>, usize)>), TdacError> {
-    let mut best: Option<(f64, Vec<usize>, usize)> = None;
+    budget: Option<&Budget>,
+    reference: TruthResult,
+) -> Result<Verdict, TdacError> {
+    let mut best: Option<(f64, Vec<usize>)> = None;
     let mut k_scores = Vec::with_capacity(ks.len());
     for (&k, eval) in ks.iter().zip(evals) {
         let Some((assignments, sil)) = eval? else { continue };
         k_scores.push((k, sil));
-        if best.as_ref().is_none_or(|(b, _, _)| sil > *b) {
-            best = Some((sil, assignments, k));
+        if best.as_ref().is_none_or(|(b, _)| sil > *b) {
+            best = Some((sil, assignments));
         }
     }
-    Ok((k_scores, best))
+    // Skipped k values mean the budget interrupted the sweep.
+    let sweep_degradation = (k_scores.len() < ks.len()).then(|| {
+        let b = budget.expect("k values are only skipped under a budget");
+        b.degrade(b.interrupted().unwrap_or(DegradationReason::Cancelled), "k_sweep")
+    });
+    let (silhouette, assignments, degradation) = match (best, sweep_degradation) {
+        // Deadline overshoot: the best scored k is worth the (bounded)
+        // per-group replay, and the outcome stays flagged.
+        (Some((silhouette, assignments)), Some(deg))
+            if deg.reason != DegradationReason::Cancelled =>
+        {
+            (silhouette, assignments, Some(deg))
+        }
+        // Cancelled ("stop as soon as possible"), or nothing scored: the
+        // reference is the best-so-far answer.
+        (_, Some(deg)) => return Ok(Verdict::Degraded(reference, k_scores, deg)),
+        (best, None) => {
+            let (silhouette, assignments) = best.expect("a complete sweep scores every k");
+            if config.min_silhouette.is_some_and(|floor| silhouette <= floor) {
+                return Ok(Verdict::Floor(reference, k_scores));
+            }
+            // The per-group phase is atomic: refuse to start it on an
+            // exhausted budget (a partial merge would be silently wrong,
+            // the one thing a degraded outcome must never be).
+            if let Some(deg) = budget.and_then(|b| b.check("per_group_run")) {
+                return Ok(Verdict::Degraded(reference, k_scores, deg));
+            }
+            (silhouette, assignments, None)
+        }
+    };
+    Ok(Verdict::Partition(PartitionedModel {
+        reference,
+        partition: AttributePartition::from_assignments(attrs, &assignments),
+        silhouette,
+        k_scores,
+        degradation,
+    }))
+}
+
+/// Unordered pairs among `n` rows.
+pub(crate) fn half_pairs(n: usize) -> u64 {
+    (n * n.saturating_sub(1) / 2) as u64
 }
 
 /// Budget probe between the reference run and the distance-matrix
@@ -325,7 +455,7 @@ pub(crate) fn exhausted(budget: Option<&Budget>, phase: &str, pairs: u64) -> Opt
 pub(crate) fn per_group_partials(
     base: &(dyn TruthDiscovery + Sync),
     dataset: &Dataset,
-    groups: &[Vec<td_model::AttributeId>],
+    groups: &[Vec<AttributeId>],
     cached: &[Option<TruthResult>],
     obs: &Observer,
 ) -> Result<Vec<TruthResult>, TdacError> {
@@ -371,15 +501,23 @@ pub(crate) fn merge_partials(partials: &[TruthResult], obs: &Observer) -> TruthR
     result
 }
 
-/// Whether a store page's cached intermediates actually fit `dataset`:
-/// one matrix row per attribute, one column per `(object, source)` pair,
-/// and a validity mask exactly when the masked pipeline needs one. A
-/// page that fails this check is ignored (the run recomputes from
-/// scratch) — stale pages must never corrupt an outcome.
-pub(crate) fn page_matches(page: &TruthPage, dataset: &Dataset, missing_aware: bool) -> bool {
-    page.matrix.n_rows() == dataset.n_attributes()
-        && page.matrix.n_cols() == dataset.n_objects() * dataset.n_sources()
-        && page.matrix.mask_words_all().is_some() == missing_aware
+/// The store's [`TruthPage`] for `algorithm` in this pipeline mode, when
+/// its cached intermediates actually fit the dataset: one matrix row per
+/// attribute, one column per `(object, source)` pair, and a validity
+/// mask exactly when the masked pipeline needs one. A page that fails
+/// this check is ignored (the run recomputes from scratch) — stale pages
+/// must never corrupt an outcome.
+pub(crate) fn store_seed<'s>(
+    store: &'s DatasetStore,
+    algorithm: &str,
+    missing_aware: bool,
+) -> Option<&'s TruthPage> {
+    let dataset = &store.dataset;
+    store.page(algorithm, missing_aware).filter(|page| {
+        page.matrix.n_rows() == dataset.n_attributes()
+            && page.matrix.n_cols() == dataset.n_objects() * dataset.n_sources()
+            && page.matrix.mask_words_all().is_some() == missing_aware
+    })
 }
 
 /// The TD-AC algorithm. See the crate docs for the pipeline.
@@ -457,9 +595,7 @@ impl Tdac {
         base: &(dyn TruthDiscovery + Sync),
         store: &DatasetStore,
     ) -> Result<TdacOutcome, TdacError> {
-        let seed = store
-            .page(base.name(), self.config.missing_aware)
-            .filter(|p| page_matches(p, &store.dataset, self.config.missing_aware));
+        let seed = store_seed(store, base.name(), self.config.missing_aware);
         self.run_view_seeded(base, &store.dataset.view_all(), seed)
     }
 
@@ -518,9 +654,7 @@ impl Tdac {
         base: &(dyn TruthDiscovery + Sync),
         store: &DatasetStore,
     ) -> Result<ModelSelection, TdacError> {
-        let seed = store
-            .page(base.name(), self.config.missing_aware)
-            .filter(|p| page_matches(p, &store.dataset, self.config.missing_aware));
+        let seed = store_seed(store, base.name(), self.config.missing_aware);
         self.select_model_seeded(base, &store.dataset.view_all(), seed)
     }
 
@@ -530,45 +664,13 @@ impl Tdac {
         view: &DatasetView<'_>,
         seed: Option<&TruthPage>,
     ) -> Result<ModelSelection, TdacError> {
-        let user_obs = &self.config.observer;
-        let baseline = user_obs.profile();
-        let obs = self.budget_observer();
-        let caught = catch_unwind(AssertUnwindSafe(|| {
-            self.config.effective_parallelism().install(|| {
-                let budget = Budget::arm(&self.config.limits, &obs);
-                self.select_inner(base, view, &obs, budget.as_ref(), seed)
-            })
-        }));
-        let mut selection = match caught {
-            Ok(result) => result?,
-            Err(payload) => {
-                obs.incr(Counter::WorkerPanics, 1);
-                return Err(TdacError::WorkerPanic {
-                    phase: "pipeline".to_string(),
-                    detail: panic_message(payload.as_ref()),
-                });
-            }
-        };
+        let (mut selection, profile) = run_spine(&self.config, |obs, budget| {
+            self.select_inner(base, view, obs, budget, seed)
+        })?;
         if let ModelSelection::Complete(outcome) = &mut selection {
-            outcome.profile = user_obs.profile().map(|p| match &baseline {
-                Some(b) => p.delta_since(b),
-                None => p,
-            });
+            outcome.profile = profile;
         }
         Ok(selection)
-    }
-
-    /// Counter-based budgets are metered on observer counters, so an
-    /// active limit with a disabled user observer runs against a
-    /// private enabled handle — the user's profile (and the
-    /// observation-neutrality contract) is untouched.
-    fn budget_observer(&self) -> Observer {
-        let user_obs = &self.config.observer;
-        if self.config.limits.is_active() && !user_obs.is_enabled() {
-            Observer::enabled()
-        } else {
-            user_obs.clone()
-        }
     }
 
     fn run_view_seeded(
@@ -584,48 +686,20 @@ impl Tdac {
                     .to_string(),
             ));
         }
-        let user_obs = &self.config.observer;
-        let baseline = user_obs.profile();
-        let obs = self.budget_observer();
-        // Belt-and-braces panic isolation: per-worker boundaries inside
-        // convert parallel panics precisely; this top-level catch covers
-        // the sequential spine so *no* panic anywhere in the pipeline
-        // can cross the public entry point.
-        let caught = catch_unwind(AssertUnwindSafe(|| {
-            self.config.effective_parallelism().install(|| {
-                let budget = Budget::arm(&self.config.limits, &obs);
-                match self.select_inner(base, view, &obs, budget.as_ref(), seed)? {
-                    ModelSelection::Complete(outcome) => Ok::<_, TdacError>(outcome),
-                    ModelSelection::Partitioned(model) => {
-                        // Step 4 + 5: per-group base runs (parallel,
-                        // panic-isolated, collected in group order) and
-                        // the symmetric merge.
-                        let partials = per_group_partials(
-                            base,
-                            view.dataset(),
-                            model.partition.groups(),
-                            &[],
-                            &obs,
-                        )?;
-                        Ok(model.assemble(&partials, &obs))
-                    }
+        let (mut outcome, profile) = run_spine(&self.config, |obs, budget| {
+            match self.select_inner(base, view, obs, budget, seed)? {
+                ModelSelection::Complete(outcome) => Ok(outcome),
+                ModelSelection::Partitioned(model) => {
+                    // Step 4 + 5: per-group base runs (parallel,
+                    // panic-isolated, collected in group order) and the
+                    // symmetric merge.
+                    let groups = model.partition.groups();
+                    let partials = per_group_partials(base, view.dataset(), groups, &[], obs)?;
+                    Ok(model.assemble(&partials, obs))
                 }
-            })
-        }));
-        let mut outcome = match caught {
-            Ok(result) => result?,
-            Err(payload) => {
-                obs.incr(Counter::WorkerPanics, 1);
-                return Err(TdacError::WorkerPanic {
-                    phase: "pipeline".to_string(),
-                    detail: panic_message(payload.as_ref()),
-                });
             }
-        };
-        outcome.profile = user_obs.profile().map(|p| match &baseline {
-            Some(b) => p.delta_since(b),
-            None => p,
-        });
+        })?;
+        outcome.profile = profile;
         Ok(outcome)
     }
 
@@ -637,57 +711,59 @@ impl Tdac {
         budget: Option<&Budget>,
         seed: Option<&TruthPage>,
     ) -> Result<ModelSelection, TdacError> {
-        let attrs = view.attributes().to_vec();
-        let n = attrs.len();
-        if n == 0 {
+        let config = &self.config;
+        let attrs = view.attributes();
+        if attrs.is_empty() {
             return Err(TdacError::NoAttributes);
         }
+        // The un-partitioned answer: one base run over the whole view.
+        let fallback = |k_scores| {
+            let result = {
+                let _s = obs.span("per_group_run");
+                base.discover_observed(view, obs)
+            };
+            ModelSelection::Complete(TdacOutcome::whole(result, attrs, k_scores, None))
+        };
+        let degraded = |reference, k_scores, deg| {
+            ModelSelection::Complete(TdacOutcome::whole(reference, attrs, k_scores, Some(deg)))
+        };
 
-        // Algorithm 1 sweeps k ∈ [2, |A|-1]; with |A| ≤ 2 the range is
-        // empty and partitioning is meaningless — run the base algorithm
+        // With |A| ≤ 2 Algorithm 1's range k ∈ [2, |A|-1] is empty and
+        // partitioning is meaningless — run the base algorithm
         // unpartitioned.
-        let k_hi = self.config.k_max.unwrap_or(n.saturating_sub(1)).min(n.saturating_sub(1));
-        if n < 3 || self.config.k_min > k_hi {
-            return Ok(ModelSelection::Complete(
-                self.fallback(base, view, Vec::new(), obs, None),
-            ));
+        let ks = config.k_range(attrs.len());
+        if ks.is_empty() {
+            return Ok(fallback(Vec::new()));
         }
 
         // Step 2 + 3: attribute truth vectors from the base algorithm's
-        // reference truth, then the silhouette-guided sweep. Both sweep
-        // variants compute the pairwise distance matrix exactly **once**
-        // and drive every k's clustering and silhouette from that shared
-        // cache, turning the per-k O(n²·d) distance work into O(n²)
-        // lookups. Independent k values are evaluated in parallel; the
-        // winner is then picked by a sequential scan in k order (strict
-        // `>` keeps the smallest k on ties, like Algorithm 1's
-        // comparison), so the outcome matches the sequential sweep
-        // bit-for-bit.
+        // reference truth, then the silhouette-guided sweep. The pairwise
+        // distance matrix is computed exactly **once** and drives every
+        // k's clustering and silhouette, turning the per-k O(n²·d)
+        // distance work into O(n²) lookups.
         //
         // Budget probes sit at the *sequential* boundaries between
         // phases (deterministic counter values at any thread count);
         // inside the parallel sweep only the cheap cancel/deadline probe
-        // runs, skipping not-yet-started k values. Every degraded exit
-        // reuses the already-computed reference result as the
-        // best-so-far answer instead of starting new work.
+        // runs. Every degraded exit reuses the already-computed reference
+        // result as the best-so-far answer instead of starting new work.
         //
         // One options value drives every distance-matrix build of the
-        // run: the configured kernel policy plus the run's observer.
+        // run: the configured kernel policy plus the run's observer. A
+        // matching store page replaces both the reference base run and
+        // the scatter pass (see `run_store`).
         let dist_opts = DistanceOptions::builder()
-            .kernel(self.config.effective_kernel())
+            .kernel(config.effective_kernel())
             .observer(obs.clone())
             .build();
-        let ks: Vec<usize> = (self.config.k_min..=k_hi).collect();
-        let pairs = (n * (n - 1) / 2) as u64;
-        let (reference, evals): (TruthResult, Vec<KEval>) = if self.config.missing_aware {
+        let pairs = half_pairs(attrs.len());
+        let (data, dist, reference, method) = if config.missing_aware {
             // Future-work variant: masked distances + PAM (k-means has no
-            // feature-space form for the masked metric).
+            // feature-space form for the masked metric). The masked dual
+            // representation is rebuilt from a page's packed words
+            // (bit-identical — the words are canonical).
             let (masked, reference) = {
                 let _s = obs.span("truth_vectors");
-                // A matching store page replaces both the reference base
-                // run and the scatter pass; the masked dual
-                // representation is rebuilt from the page's packed words
-                // (bit-identical — the words are canonical).
                 match seed.and_then(|p| {
                     MaskedTruthVectors::from_packed(p.matrix.clone())
                         .map(|m| (m, p.reference.clone()))
@@ -697,45 +773,17 @@ impl Tdac {
                 }
             };
             if let Some(deg) = exhausted(budget, "truth_vectors", pairs) {
-                return Ok(ModelSelection::Complete(
-                    self.degraded(reference, view, Vec::new(), deg, obs),
-                ));
+                return Ok(degraded(reference, Vec::new(), deg));
             }
             let dist = {
                 let _s = obs.span("distance_matrix");
                 obs.incr(Counter::DistCacheMisses, 1);
                 masked.distance_matrix_with(&dist_opts)
             };
-            let _sweep = obs.span("k_sweep");
-            let evals = ks
-                .par_iter()
-                .map(|&k| {
-                    if budget.is_some_and(|b| b.interrupted().is_some()) {
-                        return Ok(None); // skipped, not failed
-                    }
-                    isolate_k(k, obs, || {
-                        let _sk = obs.span_with(|| format!("k_sweep/k={k}"));
-                        obs.incr(Counter::DistCacheHits, 1);
-                        let assignments = {
-                            let _c = obs.span("cluster");
-                            Pam::new(PamConfig {
-                                seed: self.config.seed,
-                                ..PamConfig::with_k(k)
-                            })
-                            .fit_from_distances_observed(&dist, n, obs)?
-                            .assignments
-                        };
-                        let sil = silhouette_paper_dist(&dist, n, &assignments);
-                        Ok((assignments, sil))
-                    })
-                })
-                .collect();
-            (reference, evals)
+            (masked.values, dist, reference, ClusterMethod::Pam)
         } else {
             let (vectors, reference) = {
                 let _s = obs.span("truth_vectors");
-                // A matching store page replaces both the reference base
-                // run and the scatter pass (see `run_store`).
                 match seed {
                     Some(p) => (
                         TruthVectors::from_packed(p.matrix.clone()),
@@ -745,9 +793,7 @@ impl Tdac {
                 }
             };
             if let Some(deg) = exhausted(budget, "truth_vectors", pairs) {
-                return Ok(ModelSelection::Complete(
-                    self.degraded(reference, view, Vec::new(), deg, obs),
-                ));
+                return Ok(degraded(reference, Vec::new(), deg));
             }
             let dist = {
                 let _s = obs.span("distance_matrix");
@@ -755,128 +801,20 @@ impl Tdac {
                 // Dual rows: the packed side feeds the popcount kernel
                 // when the metric counts bits, the dense side everything
                 // else — bit-identical either way.
-                dist_opts.pairwise(vectors.rows(), self.config.metric.as_metric())
+                dist_opts.pairwise(vectors.rows(), config.metric.as_metric())
             };
-            let evals = sweep_dense(&self.config, &vectors.dense, &dist, &ks, obs, budget);
-            (reference, evals)
+            (vectors.dense, dist, reference, config.method)
         };
 
-        // The first error in k order wins, matching the sequential
-        // sweep; skipped (budget-interrupted) entries simply drop out.
-        let (k_scores, best) = scan_winner(&ks, evals)?;
-
-        // Skipped k values mean the budget interrupted the sweep: flag
-        // the run degraded, and keep the best among the evaluated ones
-        // (none at all ⇒ the reference result is the best-so-far).
-        let sweep_degradation = if k_scores.len() < ks.len() {
-            let b = budget.expect("k values are only skipped under a budget");
-            let reason = b.interrupted().unwrap_or(DegradationReason::Cancelled);
-            Some(b.degrade(reason, "k_sweep"))
-        } else {
-            None
-        };
-        let Some((silhouette, assignments, _k)) = best else {
-            let deg = sweep_degradation.expect("an empty sweep implies skips");
-            return Ok(ModelSelection::Complete(
-                self.degraded(reference, view, k_scores, deg, obs),
-            ));
-        };
-        if let Some(deg) = sweep_degradation {
-            if deg.reason == DegradationReason::Cancelled {
-                // Cancellation means "stop as soon as possible": don't
-                // start the per-group phase, return the reference.
-                return Ok(ModelSelection::Complete(
-                    self.degraded(reference, view, k_scores, deg, obs),
-                ));
-            }
-            // Deadline overshoot: the best-so-far k is worth the
-            // (bounded) per-group replay — the outcome stays flagged.
-            return Ok(ModelSelection::Partitioned(PartitionedModel {
-                reference,
-                partition: AttributePartition::from_assignments(&attrs, &assignments),
-                silhouette,
-                k_scores,
-                degradation: Some(deg),
-            }));
-        }
-
-        if let Some(floor) = self.config.min_silhouette {
-            if silhouette <= floor {
-                return Ok(ModelSelection::Complete(
-                    self.fallback(base, view, k_scores, obs, None),
-                ));
-            }
-        }
-
-        // The per-group phase consumes fixpoint iterations; refuse to
-        // start it on an exhausted budget (the phase itself is atomic —
-        // a partial merge would be silently wrong, the one thing a
-        // degraded outcome must never be).
-        if let Some(b) = budget {
-            if let Some(deg) = b.check("per_group_run") {
-                return Ok(ModelSelection::Complete(
-                    self.degraded(reference, view, k_scores, deg, obs),
-                ));
-            }
-        }
-        Ok(ModelSelection::Partitioned(PartitionedModel {
-            reference,
-            partition: AttributePartition::from_assignments(&attrs, &assignments),
-            silhouette,
-            k_scores,
-            degradation: None,
-        }))
-    }
-
-    fn fallback(
-        &self,
-        base: &dyn TruthDiscovery,
-        view: &DatasetView<'_>,
-        k_scores: Vec<(usize, f64)>,
-        obs: &Observer,
-        degradation: Option<Degradation>,
-    ) -> TdacOutcome {
-        let mut result = {
-            let _s = obs.span("per_group_run");
-            base.discover_observed(view, obs)
-        };
-        result.iterations = 1;
-        TdacOutcome {
-            result,
-            partition: AttributePartition::whole(view.attributes()),
-            silhouette: 0.0,
-            k_scores,
-            fallback: true,
-            degradation,
-            profile: None,
-        }
-    }
-
-    /// Best-so-far outcome for a budget-exhausted run: the reference
-    /// result (already computed — no new work starts on an exhausted
-    /// budget) under the un-partitioned whole, flagged with the
-    /// degradation record.
-    fn degraded(
-        &self,
-        reference: TruthResult,
-        view: &DatasetView<'_>,
-        k_scores: Vec<(usize, f64)>,
-        degradation: Degradation,
-        _obs: &Observer,
-    ) -> TdacOutcome {
-        let mut result = reference;
-        result.iterations = 1;
-        TdacOutcome {
-            result,
-            partition: AttributePartition::whole(view.attributes()),
-            silhouette: 0.0,
-            k_scores,
-            fallback: true,
-            degradation: Some(degradation),
-            profile: None,
-        }
+        let evals = sweep(config, method, &data, &dist, &ks, obs, budget);
+        Ok(match select_partition(config, attrs, &ks, evals, budget, reference)? {
+            Verdict::Partition(model) => ModelSelection::Partitioned(model),
+            Verdict::Floor(_, k_scores) => fallback(k_scores),
+            Verdict::Degraded(reference, k_scores, deg) => degraded(reference, k_scores, deg),
+        })
     }
 }
+
 
 #[cfg(test)]
 mod tests {
@@ -948,6 +886,54 @@ mod tests {
         assert_eq!(ks, vec![2, 3, 4, 5], "k ∈ [2, |A|-1] for |A| = 6");
     }
 
+    #[test]
+    fn silhouette_ties_keep_the_smallest_k() {
+        // k = 2 and k = 3 tie: the strict `>` of Algorithm 1's
+        // comparison keeps the first (smallest) k.
+        let attrs: Vec<AttributeId> = (0..4).map(AttributeId::new).collect();
+        let evals: Vec<KEval> = vec![
+            Ok(Some((vec![0, 0, 1, 1], 0.5))),
+            Ok(Some((vec![0, 1, 2, 2], 0.5))),
+            Ok(Some((vec![0, 1, 2, 3], 0.25))),
+        ];
+        let config = TdacConfig::default();
+        let reference = TruthResult::with_sources(0, 0.0);
+        let Ok(Verdict::Partition(model)) =
+            select_partition(&config, &attrs, &[2, 3, 4], evals, None, reference)
+        else {
+            panic!("a complete sweep selects a partition");
+        };
+        assert_eq!(model.partition, AttributePartition::from_assignments(&attrs, &[0, 0, 1, 1]));
+        assert_eq!(model.silhouette, 0.5);
+        assert_eq!(model.k_scores, vec![(2, 0.5), (3, 0.5), (4, 0.25)]);
+        assert!(model.degradation.is_none());
+    }
+
+    #[test]
+    fn sweep_groups_the_paper_running_example() {
+        // Table 2 of the paper: rows = attributes Q1..Q3 over 6
+        // (object, source) columns; Q1 and Q3 are identical, Q2 differs.
+        let data = Matrix::from_rows(&[
+            vec![1.0, 0.0, 0.0, 0.0, 1.0, 1.0],
+            vec![0.0, 0.0, 1.0, 1.0, 0.0, 1.0],
+            vec![1.0, 0.0, 0.0, 0.0, 1.0, 1.0],
+        ]);
+        let config = TdacConfig::default();
+        let dist = DistanceOptions::builder().build().pairwise(&data, config.metric.as_metric());
+        let ks = config.k_range(3);
+        assert_eq!(ks, vec![2]);
+        let evals = sweep(&config, config.method, &data, &dist, &ks, &Observer::disabled(), None);
+        let q: Vec<AttributeId> = (0..3).map(AttributeId::new).collect();
+        let reference = TruthResult::with_sources(0, 0.0);
+        let Ok(Verdict::Partition(model)) =
+            select_partition(&config, &q, &ks, evals, None, reference)
+        else {
+            panic!("k = 2 must be selected");
+        };
+        let expected = AttributePartition::new(vec![vec![q[0], q[2]], vec![q[1]]]);
+        assert_eq!(model.partition, expected, "Q1 and Q3 are correlated, Q2 stands apart");
+    }
+
     /// Serializes the parts of an outcome the store path must preserve
     /// bit-for-bit (the canonical serde repr sorts predictions, and
     /// floats round-trip exactly through serde_json).
@@ -1006,11 +992,8 @@ mod tests {
             .unwrap();
         let mut store = td_store::DatasetStore::new(d.clone());
         store.push_page(stale_page);
-        assert!(!page_matches(
-            store.page("MajorityVote", false).unwrap(),
-            &store.dataset,
-            false
-        ));
+        assert!(store.page("MajorityVote", false).is_some());
+        assert!(store_seed(&store, "MajorityVote", false).is_none());
         let fresh = tdac.run(&MajorityVote, &d).unwrap();
         let seeded = tdac.run_store(&MajorityVote, &store).unwrap();
         assert_eq!(outcome_key(&fresh), outcome_key(&seeded));

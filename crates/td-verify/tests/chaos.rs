@@ -17,16 +17,18 @@
 //!
 //! [`Degradation`]: tdac_core::Degradation
 
+use std::sync::Arc;
 use std::time::Duration;
 
 use td_algorithms::{Accu, MajorityVote, TruthDiscovery};
+use td_model::{ClaimBatch, Value};
 use td_verify::golden::{check_ds1, compute_ds1, compute_ds1_with, diff_ds1};
 use td_verify::worlds::separable_world;
 use td_verify::{ChaosHook, OutcomeFingerprint, ResultFingerprint};
 use tdac_core::{
     AccuGenError, AccuGenPartition, CancelToken, DegradationReason, ExecutionBackend,
-    ExecutionLimits, Parallelism,
-    Tdac, TdacConfig, TdacError,
+    ExecutionLimits, Parallelism, RepartitionPolicy, SessionError, Tdac, TdacConfig, TdacError,
+    TdacSession,
 };
 
 /// `0` means [`Parallelism::Auto`].
@@ -77,24 +79,61 @@ fn injected_worker_panics_surface_as_typed_errors_naming_the_phase() {
 #[test]
 fn sequential_spine_panics_are_caught_at_the_pipeline_boundary() {
     // `truth_vectors` and `merge` run on the sequential spine, outside
-    // any per-task boundary — the top-level catch must still convert
-    // them, attributed to the pipeline as a whole.
+    // any per-task boundary — the top-level catch of every entry point
+    // must still convert them, attributed to the pipeline as a whole.
     let world = separable_world(&[2, 2], 4);
+    let config = |hook: &Arc<ChaosHook>| TdacConfig {
+        observer: hook.observer(),
+        ..TdacConfig::default()
+    };
+    let check = |entry: &str, hook: &ChaosHook, err: TdacError| {
+        assert!(hook.fired(), "{entry}: fault never reached");
+        match err {
+            TdacError::WorkerPanic { phase, .. } => assert_eq!(phase, "pipeline", "{entry}"),
+            other => panic!("{entry}: wanted WorkerPanic, got {other}"),
+        }
+    };
+    let session_err = |err: SessionError| match err {
+        SessionError::Tdac(e) => e,
+        other => panic!("wanted a pipeline error, got {other}"),
+    };
+    let start = |config| {
+        TdacSession::start(MajorityVote, config, RepartitionPolicy::Always, world.dataset.clone())
+    };
+    let mut batch = ClaimBatch::new();
+    batch.claim("s0_0", "o-new", "g0a0", Value::int(7));
+    let mut next = ClaimBatch::new();
+    next.claim("s0_1", "o-new", "g0a0", Value::int(7));
+
     for target in ["truth_vectors", "merge"] {
         let hook = ChaosHook::panics_at(target, 1);
-        let config = TdacConfig {
-            observer: hook.observer(),
-            ..TdacConfig::default()
-        };
-        let err = Tdac::new(config)
-            .run(&MajorityVote, &world.dataset)
-            .expect_err("the injected panic must become an error");
-        assert!(hook.fired(), "{target}: fault never reached");
-        match err {
-            TdacError::WorkerPanic { phase, .. } => assert_eq!(phase, "pipeline", "{target}"),
-            other => panic!("{target}: wanted WorkerPanic, got {other}"),
-        }
+        let err = Tdac::new(config(&hook)).run(&MajorityVote, &world.dataset);
+        check(&format!("run {target}"), &hook, err.expect_err("must fail"));
+
+        let hook = ChaosHook::panics_at(target, 1);
+        let err = start(config(&hook)).expect_err("must fail");
+        check(&format!("start {target}"), &hook, session_err(err));
+
+        // The start hits the target once; the ingest hits it second.
+        let hook = ChaosHook::panics_at(target, 2);
+        let mut session = start(config(&hook)).unwrap();
+        let err = session.ingest(&batch).expect_err("must fail");
+        check(&format!("ingest {target}"), &hook, session_err(err));
+        session.ingest(&next).expect("the session recovers on the next batch");
+        let oracle = Tdac::new(TdacConfig::default())
+            .run(&MajorityVote, session.dataset())
+            .unwrap();
+        assert_eq!(
+            OutcomeFingerprint::of(session.outcome()),
+            OutcomeFingerprint::of(&oracle),
+            "ingest {target}: recovered session != batch run"
+        );
     }
+
+    // Model selection stops before the per-group phase and its merge.
+    let hook = ChaosHook::panics_at("truth_vectors", 1);
+    let err = Tdac::new(config(&hook)).select_model_view(&MajorityVote, &world.dataset.view_all());
+    check("select_model_view truth_vectors", &hook, err.expect_err("must fail"));
 }
 
 #[test]

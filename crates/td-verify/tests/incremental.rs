@@ -15,11 +15,10 @@ use std::collections::HashSet;
 use td_algorithms::{Accu, MajorityVote, TruthDiscovery};
 use td_model::{ClaimBatch, Dataset, DatasetBuilder, Value};
 use td_verify::worlds::separable_world;
-use td_verify::{OutcomeFingerprint, ResultFingerprint};
+use td_verify::{ChaosHook, OutcomeFingerprint, ResultFingerprint};
 use tdac_core::{
     run_partition, ExecutionBackend, KernelPolicy, Observer, Parallelism, RepartitionPolicy,
-    Tdac, TdacConfig,
-    TdacSession,
+    SessionError, Tdac, TdacConfig, TdacError, TdacSession,
 };
 
 /// A named claim row, re-appendable through a [`ClaimBatch`].
@@ -170,6 +169,46 @@ fn always_policy_oracle_survives_new_entities() {
     let report = session.ingest(&follow).unwrap();
     assert!(!report.rebuilt, "a new object appends pair columns in place");
     let oracle = Tdac::new(cfg).run(&MajorityVote, session.dataset()).unwrap();
+    assert_eq!(
+        OutcomeFingerprint::of(session.outcome()),
+        OutcomeFingerprint::of(&oracle)
+    );
+}
+
+#[test]
+fn failed_ingest_leaves_no_stale_state_behind() {
+    // A new-source ingest whose per-group phase fails with a typed
+    // error must not keep the old column layout: the next clean batch
+    // (no new source, so it may take the incremental path) has to match
+    // a from-scratch run on the accumulated claims.
+    let world = separable_world(&[3, 3], 6);
+    let (base, pool) = split_claims(&world.dataset, 4);
+    // Group 0 runs once at start; its second run is the failing ingest's.
+    let hook = ChaosHook::panics_at("per_group_run/group=0", 2);
+    let cfg = TdacConfig {
+        observer: hook.observer(),
+        ..TdacConfig::default()
+    };
+    let mut session =
+        TdacSession::start(MajorityVote, cfg, RepartitionPolicy::Always, base).unwrap();
+
+    let mut failing = ClaimBatch::new();
+    failing.claim("s-new", "o0", "g0a1", Value::int(0));
+    let err = session.ingest(&failing).expect_err("the per-group panic must fail the ingest");
+    assert!(hook.fired());
+    assert!(
+        matches!(&err, SessionError::Tdac(TdacError::WorkerPanic { phase, .. })
+            if phase == "per_group_run/group=0"),
+        "{err}"
+    );
+
+    // One attribute's deferred claims: the other rows stay clean.
+    let clean: Vec<Row> = pool.iter().filter(|r| r.2 == pool[0].2).cloned().collect();
+    let report = session.ingest(&batch_of(&clean)).unwrap();
+    assert_eq!(report.summary.new_sources, 0);
+    let oracle = Tdac::new(TdacConfig::default())
+        .run(&MajorityVote, session.dataset())
+        .unwrap();
     assert_eq!(
         OutcomeFingerprint::of(session.outcome()),
         OutcomeFingerprint::of(&oracle)

@@ -19,6 +19,9 @@ cargo test --offline -q
 echo "== workspace suites (differential / determinism / metamorphic) =="
 cargo test --offline -q --workspace
 
+echo "== benches compile (cargo test skips bench targets) =="
+cargo bench --offline --no-run -p tdac-bench
+
 echo "== observer determinism: profiles on vs off, all thread counts =="
 cargo test --offline -q -p td-verify --test observer
 
