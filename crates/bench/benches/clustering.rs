@@ -1,6 +1,7 @@
 //! Bench: the clustering substrate on truth-vector-shaped binary
 //! matrices — the ablation bench for DESIGN.md's "k-means vs. PAM vs.
-//! hierarchical" design choice. The production k sweep is timed
+//! hierarchical" design choice, plus the dense/packed kernel pairs for
+//! the distance matrix and k-means. The production k sweep is timed
 //! end to end by `tdac_pipeline`'s `tdac_phases/exam62/full_pipeline`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -83,5 +84,36 @@ fn bench_hamming_kernels(c: &mut Criterion) {
     }
 }
 
-criterion_group!(benches, bench_clusterers, bench_hamming_kernels);
+fn bench_kmeans_kernels(c: &mut Criterion) {
+    // The exact packed k-means against the dense f64 Lloyd loop on one
+    // Exam-shaped binary matrix (62 attributes x 248 object-source
+    // columns), one k of the sweep, 10 restarts. The fits are
+    // bit-identical; scripts/bench.sh folds the pair into
+    // BENCH_tdac.json's `kernel_speedups`.
+    let data = planted(62, 248);
+    let packed = BitMatrix::pack(&data).expect("planted matrices are binary");
+    let km = KMeans::new(KMeansConfig::with_k(8));
+    let mut group = c.benchmark_group("kernel/kmeans_62x248");
+    group.sample_size(20);
+    group.bench_function("dense", |b| {
+        let opts = DistanceOptions::builder()
+            .kernel(KernelPolicy::Dense)
+            .build();
+        b.iter(|| black_box(km.fit_observed(&data, &opts).expect("fit")));
+    });
+    group.bench_function("packed", |b| {
+        let opts = DistanceOptions::builder()
+            .kernel(KernelPolicy::Packed)
+            .build();
+        b.iter(|| black_box(km.fit_observed(&packed, &opts).expect("fit")));
+    });
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_clusterers,
+    bench_hamming_kernels,
+    bench_kmeans_kernels
+);
 criterion_main!(benches);

@@ -12,6 +12,10 @@
 //! The inner loops are written over 4-word chunks with independent
 //! accumulators so the compiler can autovectorize them; no SIMD
 //! intrinsics or non-vendored dependencies are involved.
+//!
+//! The same words feed the packed k-means: its centroids are exact
+//! column counts over member rows, held bit-sliced (`SlicedCounts`)
+//! so they are updated and read with word operations too.
 
 use serde::{Deserialize, Serialize};
 
@@ -20,14 +24,15 @@ use crate::matrix::Matrix;
 /// Bits per packed word.
 pub const WORD_BITS: usize = 64;
 
-/// Which distance kernel `pairwise_distances` may use.
+/// Which kernels `pairwise_distances` and the k-means fits may use.
 ///
-/// The packed kernel applies only when the data is binary (packable)
-/// and the metric counts bit disagreements on 0/1 vectors
-/// ([`crate::Metric::counts_bits_on_binary`]); outside that envelope
-/// every policy falls back to the dense `f64` path. Results are
-/// bit-identical either way — the policy is a performance knob and a
-/// pin for parity tests, never a semantics switch.
+/// The packed distance kernel applies only when the data is binary
+/// (packable) and the metric counts bit disagreements on 0/1 vectors
+/// ([`crate::Metric::counts_bits_on_binary`]); the packed k-means only
+/// needs binary data. Outside that envelope every policy falls back to
+/// the dense `f64` path. Results are bit-identical either way — the
+/// policy is a performance knob and a pin for parity tests, never a
+/// semantics switch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum KernelPolicy {
     /// Use the packed kernel whenever it applies (the default).
@@ -368,6 +373,171 @@ pub fn hamming_words(a: &[u64], b: &[u64]) -> u64 {
     total
 }
 
+/// Exact per-column counts over a set of packed rows, held bit-sliced:
+/// bit `j` of plane `b` is bit `b` of column `j`'s count. This is a
+/// binary k-means centroid before the division by its member count, in
+/// a form the AND + popcount kernels can read a word at a time.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct SlicedCounts {
+    words: usize,
+    /// `⌊log₂ capacity⌋ + 1` planes of `words` words each.
+    planes: Vec<u64>,
+    members: u64,
+}
+
+impl SlicedCounts {
+    /// An empty counter over `words`-word rows that can absorb up to
+    /// `capacity` rows.
+    pub(crate) fn new(words: usize, capacity: u64) -> Self {
+        let n_planes = (u64::BITS - capacity.leading_zeros()) as usize;
+        Self {
+            words,
+            planes: vec![0; n_planes * words],
+            members: 0,
+        }
+    }
+
+    /// Rows added so far (the centroid's member count `m`).
+    #[inline]
+    pub(crate) fn members(&self) -> u64 {
+        self.members
+    }
+
+    /// Planes that can hold a nonzero bit: every count is at most
+    /// `members`, so planes at or above its bit length are zero.
+    #[inline]
+    fn active_planes(&self) -> usize {
+        (u64::BITS - self.members.leading_zeros()) as usize
+    }
+
+    /// Resets every count to zero.
+    pub(crate) fn clear(&mut self) {
+        self.planes.fill(0);
+        self.members = 0;
+    }
+
+    /// Adds one packed row: a bit-sliced ripple-carry increment of every
+    /// column the row sets, `words × planes` word operations at most.
+    ///
+    /// # Panics
+    /// Panics if the counter is already at its capacity.
+    pub(crate) fn add(&mut self, row: &[u64]) {
+        debug_assert_eq!(row.len(), self.words);
+        self.members += 1;
+        let top = self.active_planes();
+        assert!(
+            top * self.words <= self.planes.len(),
+            "SlicedCounts over capacity"
+        );
+        for (w, &bits) in row.iter().enumerate() {
+            let mut carry = bits;
+            let mut b = 0;
+            // Counts never exceed `members`, so the carry dies below `top`.
+            while carry != 0 && b < top {
+                let plane = &mut self.planes[b * self.words + w];
+                let next = *plane & carry;
+                *plane ^= carry;
+                carry = next;
+                b += 1;
+            }
+        }
+    }
+
+    /// `Σ_{j ∈ row} cnt_j = Σ_b 2^b · popcount(row & plane_b)`.
+    #[inline]
+    pub(crate) fn dot(&self, row: &[u64]) -> u64 {
+        debug_assert_eq!(row.len(), self.words);
+        let mut total = 0u64;
+        for (b, plane) in self
+            .planes
+            .chunks_exact(self.words)
+            .take(self.active_planes())
+            .enumerate()
+        {
+            let ones: u64 = plane
+                .iter()
+                .zip(row)
+                .map(|(p, x)| u64::from((p & x).count_ones()))
+                .sum();
+            total += ones << b;
+        }
+        total
+    }
+
+    /// `Σ_j cnt_j² = Σ_{b, b'} 2^{b+b'} · popcount(plane_b & plane_b')`.
+    pub(crate) fn sum_squares(&self) -> u64 {
+        let top = self.active_planes();
+        let mut total = 0u64;
+        for b in 0..top {
+            let pb = &self.planes[b * self.words..(b + 1) * self.words];
+            for b2 in b..top {
+                let pb2 = &self.planes[b2 * self.words..(b2 + 1) * self.words];
+                let ones: u64 = pb
+                    .iter()
+                    .zip(pb2)
+                    .map(|(p, q)| u64::from((p & q).count_ones()))
+                    .sum();
+                // Off-diagonal pairs appear twice in the double sum.
+                let pair = if b == b2 { 1 } else { 2 };
+                total += pair * (ones << (b + b2));
+            }
+        }
+        total
+    }
+
+    /// Writes the count of every column position, `64·words` of them
+    /// (positions past the last column count 0).
+    pub(crate) fn write_counts(&self, out: &mut [u32]) {
+        debug_assert_eq!(out.len(), self.words * WORD_BITS);
+        out.fill(0);
+        for (b, plane) in self
+            .planes
+            .chunks_exact(self.words)
+            .take(self.active_planes())
+            .enumerate()
+        {
+            for (&word, slots) in plane.iter().zip(out.chunks_exact_mut(WORD_BITS)) {
+                for (bit, slot) in slots.iter_mut().enumerate() {
+                    *slot |= ((word >> bit) as u32 & 1) << b;
+                }
+            }
+        }
+    }
+
+    /// Fills `full` with the columns whose count is `members` and
+    /// `mixed` with those whose count is strictly between 0 and
+    /// `members` (the other columns, tail bits included, count 0).
+    pub(crate) fn uniform_columns(&self, full: &mut [u64], mixed: &mut [u64]) {
+        let top = self.active_planes();
+        for w in 0..self.words {
+            let (mut all, mut any) = (u64::MAX, 0u64);
+            for b in 0..top {
+                let plane = self.planes[b * self.words + w];
+                all &= if self.members >> b & 1 == 1 {
+                    plane
+                } else {
+                    !plane
+                };
+                any |= plane;
+            }
+            full[w] = all;
+            mixed[w] = any & !all;
+        }
+    }
+
+    /// Writes `fl(cnt_j / m)` for every column `j` of `out` — the value
+    /// the dense update step's sum-then-divide produces, since its f64
+    /// sums of 0/1 entries are the exact counts.
+    pub(crate) fn write_means(&self, out: &mut [f64]) {
+        let m = self.members.max(1) as f64;
+        let mut counts = vec![0u32; self.words * WORD_BITS];
+        self.write_counts(&mut counts);
+        for (slot, &cnt) in out.iter_mut().zip(&counts) {
+            *slot = f64::from(cnt) / m;
+        }
+    }
+}
+
 /// Masked variant of [`hamming_words`]: returns
 /// `(popcount((a ^ b) & ma & mb), popcount(ma & mb))` — disagreements
 /// and co-observed coordinates in one pass.
@@ -561,6 +731,67 @@ mod tests {
             .map(|((x, y), m)| u64::from(((x ^ y) & m).count_ones()))
             .sum();
         assert_eq!((diff, co), (diff_ref, co_ref));
+    }
+
+    #[test]
+    fn sliced_counts_match_column_sums() {
+        for cols in [1usize, 63, 64, 65, 130] {
+            let rows = 11;
+            let mut m = BitMatrix::zeros(rows, cols);
+            for i in 0..rows {
+                for j in 0..cols {
+                    m.set_bit(i, j, (i * 7 + j * 13) % 5 < 2 || i % 4 == 0);
+                }
+            }
+            let words = m.words_per_row();
+            let mut counts = SlicedCounts::new(words, rows as u64);
+            for i in 0..rows {
+                counts.add(m.row_words(i));
+            }
+            let want: Vec<u32> = (0..words * WORD_BITS)
+                .map(|j| (0..rows).filter(|&i| j < cols && m.get_bit(i, j)).count() as u32)
+                .collect();
+            let mut got = vec![0u32; words * WORD_BITS];
+            counts.write_counts(&mut got);
+            assert_eq!(got, want, "cols = {cols}");
+            assert_eq!(counts.members(), rows as u64);
+            let squares: u64 = want.iter().map(|&c| u64::from(c) * u64::from(c)).sum();
+            assert_eq!(counts.sum_squares(), squares);
+            for i in 0..rows {
+                let dot: u64 = (0..cols)
+                    .filter(|&j| m.get_bit(i, j))
+                    .map(|j| u64::from(want[j]))
+                    .sum();
+                assert_eq!(counts.dot(m.row_words(i)), dot);
+            }
+            let (mut full, mut mixed) = (vec![0u64; words], vec![0u64; words]);
+            counts.uniform_columns(&mut full, &mut mixed);
+            for (j, &c) in want.iter().enumerate() {
+                let (w, b) = (j / WORD_BITS, j % WORD_BITS);
+                assert_eq!(full[w] >> b & 1 == 1, c == rows as u32, "full, column {j}");
+                assert_eq!(
+                    mixed[w] >> b & 1 == 1,
+                    c > 0 && c < rows as u32,
+                    "mixed, column {j}"
+                );
+            }
+            let mut means = vec![0.0; cols];
+            counts.write_means(&mut means);
+            assert!(means
+                .iter()
+                .zip(&want)
+                .all(|(&q, &c)| q == f64::from(c) / rows as f64));
+            counts.clear();
+            assert_eq!((counts.members(), counts.sum_squares()), (0, 0));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "over capacity")]
+    fn sliced_counts_refuse_rows_past_capacity() {
+        let mut counts = SlicedCounts::new(1, 1);
+        counts.add(&[1]);
+        counts.add(&[1]);
     }
 
     #[test]

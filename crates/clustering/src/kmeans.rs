@@ -1,5 +1,13 @@
 //! Lloyd's k-means with k-means++ initialization, seeded restarts and
 //! empty-cluster repair — the optimizer behind TD-AC's Eq. 3.
+//!
+//! Two paths share the seeding and the restart fold: the dense `f64`
+//! Lloyd loop, the reference and the path for non-binary data, and an
+//! exact packed path for 0/1 rows that returns the dense loop's bits
+//! (see [`KMeans::fit_observed`] and `docs/KERNELS.md`).
+
+use std::ops::Deref;
+use std::sync::OnceLock;
 
 use rand::distributions::{Distribution, WeightedIndex};
 use rand::seq::SliceRandom;
@@ -8,7 +16,8 @@ use rand_chacha::ChaCha8Rng;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
-use crate::distance::{Metric, SqEuclidean};
+use crate::bitmatrix::{BitMatrix, KernelPolicy, SlicedCounts, WORD_BITS};
+use crate::distance::{DistanceOptions, Metric, Rows, SqEuclidean};
 use crate::error::ClusterError;
 use crate::matrix::Matrix;
 
@@ -96,21 +105,36 @@ impl KMeans {
         &self.config
     }
 
-    /// Fits `k` clusters to the rows of `data`.
+    /// Fits `k` clusters to the rows of `data` under the default
+    /// [`DistanceOptions`]: binary rows are packed on the fly and take
+    /// the exact packed path.
     pub fn fit(&self, data: &Matrix) -> Result<KMeansResult, ClusterError> {
-        self.fit_observed(data, &td_obs::Observer::disabled())
+        self.fit_observed(data, &DistanceOptions::default())
     }
 
-    /// [`KMeans::fit`] with instrumentation: bumps
-    /// [`td_obs::Counter::KMeansIterations`] by the Lloyd iterations
-    /// summed over *all* restarts (the real work done, not just the
-    /// winner's count). Observation never alters the fit.
-    pub fn fit_observed(
+    /// [`KMeans::fit`] over any [`Rows`] representation, with the kernel
+    /// policy and observer of `opts`.
+    ///
+    /// The packed path runs when a packed form exists (`Rows::Packed`,
+    /// `Rows::Dual`, or dense rows that [`BitMatrix::pack`] accepts) and
+    /// the policy is not [`KernelPolicy::Dense`] — the same rule as the
+    /// distance matrix. Its result is bit-identical to the dense Lloyd
+    /// loop's: assignments, centroids, inertia and iteration count.
+    ///
+    /// Instrumentation: bumps [`td_obs::Counter::KMeansIterations`] by
+    /// the Lloyd iterations summed over *all* restarts (the real work
+    /// done, not just the winner's count); a packed fit also bumps
+    /// [`td_obs::Counter::KMeansPackedFits`] once and
+    /// [`td_obs::Counter::KMeansRechecks`] by the rows, per iteration,
+    /// whose winner was picked by a dense `f64` score. Observation never
+    /// alters the fit.
+    pub fn fit_observed<'a>(
         &self,
-        data: &Matrix,
-        observer: &td_obs::Observer,
+        data: impl Into<Rows<'a>>,
+        opts: &DistanceOptions,
     ) -> Result<KMeansResult, ClusterError> {
-        let n = data.n_rows();
+        let rows = data.into();
+        let n = rows.n_rows();
         let k = self.config.k;
         if k == 0 {
             return Err(ClusterError::ZeroK);
@@ -125,11 +149,51 @@ impl KMeans {
             return Err(ClusterError::ZeroIterationCap);
         }
 
-        // Restarts are independent (each derives its RNG from its restart
-        // index alone), so they run in parallel; folding the collected
-        // runs in restart order with the strict `<` keeps the earliest
-        // lowest-inertia run, exactly as the sequential loop did.
-        let runs: Vec<KMeansResult> = (0..self.config.n_init.max(1) as usize)
+        let on_the_fly;
+        let bits: Option<&BitMatrix> = match rows {
+            _ if opts.kernel == KernelPolicy::Dense => None,
+            Rows::Packed(b) | Rows::Dual { packed: b, .. } => Some(b),
+            Rows::Dense(m) => {
+                on_the_fly = BitMatrix::pack(m);
+                on_the_fly.as_ref()
+            }
+        };
+        let observer = &opts.observer;
+        if let Some(p) = bits.and_then(PackedRows::new) {
+            let runs = self.restarts(|rng| self.packed_run(&p, rng));
+            observer.incr(
+                td_obs::Counter::KMeansIterations,
+                runs.iter().map(|r| r.iterations as u64).sum(),
+            );
+            observer.incr(td_obs::Counter::KMeansPackedFits, 1);
+            observer.incr(
+                td_obs::Counter::KMeansRechecks,
+                runs.iter().map(|r| r.rechecks).sum(),
+            );
+            return Ok(first_lowest(runs, |r| r.inertia).into_result(p.bits.n_cols()));
+        }
+
+        let densified;
+        let dense: &Matrix = match rows {
+            Rows::Dense(m) | Rows::Dual { dense: m, .. } => m,
+            Rows::Packed(b) => {
+                densified = b.to_dense();
+                &densified
+            }
+        };
+        let runs = self.restarts(|rng| self.single_run(dense, rng));
+        observer.incr(
+            td_obs::Counter::KMeansIterations,
+            runs.iter().map(|r| r.iterations as u64).sum(),
+        );
+        Ok(first_lowest(runs, |r| r.inertia))
+    }
+
+    /// Runs every restart. Restarts are independent (each derives its
+    /// RNG from its restart index alone), so they run in parallel and
+    /// come back in restart order.
+    fn restarts<T: Send>(&self, run: impl Fn(&mut ChaCha8Rng) -> T + Sync) -> Vec<T> {
+        (0..self.config.n_init.max(1) as usize)
             .into_par_iter()
             .map(|restart| {
                 let mut rng = ChaCha8Rng::seed_from_u64(
@@ -137,29 +201,39 @@ impl KMeans {
                         .seed
                         .wrapping_add(0x9E37_79B9_7F4A_7C15u64.wrapping_mul(restart as u64 + 1)),
                 );
-                self.single_run(data, &mut rng)
+                run(&mut rng)
             })
-            .collect();
-        observer.incr(
-            td_obs::Counter::KMeansIterations,
-            runs.iter().map(|r| r.iterations as u64).sum(),
-        );
-        let mut best: Option<KMeansResult> = None;
-        for run in runs {
-            if best.as_ref().is_none_or(|b| run.inertia < b.inertia) {
-                best = Some(run);
-            }
-        }
-        Ok(best.expect("n_init >= 1"))
+            .collect()
     }
 
+    /// The seed rows of one restart; `dist_from(c)` gives every row's
+    /// squared distance to row `c`.
+    fn seeds<R: Deref<Target = [f64]>>(
+        &self,
+        n: usize,
+        rng: &mut ChaCha8Rng,
+        dist_from: impl Fn(usize) -> R,
+    ) -> Vec<usize> {
+        match self.config.init {
+            Init::KMeansPlusPlus => seeds_plus_plus(n, self.config.k, rng, dist_from),
+            Init::Random => seeds_random(n, self.config.k, rng),
+        }
+    }
+
+    /// One restart of the dense Lloyd loop — the reference every other
+    /// path must reproduce bit for bit, and the path for non-binary data.
     fn single_run(&self, data: &Matrix, rng: &mut ChaCha8Rng) -> KMeansResult {
         let (n, d, k) = (data.n_rows(), data.n_cols(), self.config.k);
         let metric = SqEuclidean;
-        let mut centroids = match self.config.init {
-            Init::KMeansPlusPlus => init_plus_plus(data, k, rng),
-            Init::Random => init_random(data, k, rng),
-        };
+        let mut centroids = Matrix::zeros(k, d);
+        let seeds = self.seeds(n, rng, |c| {
+            (0..n)
+                .map(|i| metric.distance(data.row(i), data.row(c)))
+                .collect::<Vec<f64>>()
+        });
+        for (c, &i) in seeds.iter().enumerate() {
+            centroids.row_mut(c).copy_from_slice(data.row(i));
+        }
         let mut assignments = vec![0usize; n];
         let mut counts = vec![0usize; k];
         let mut inertia = f64::INFINITY;
@@ -265,26 +339,395 @@ impl KMeans {
             iterations,
         }
     }
-}
 
-fn init_random(data: &Matrix, k: usize, rng: &mut ChaCha8Rng) -> Matrix {
-    let mut idx: Vec<usize> = (0..data.n_rows()).collect();
-    idx.shuffle(rng);
-    let mut c = Matrix::zeros(k, data.n_cols());
-    for (ci, &i) in idx.iter().take(k).enumerate() {
-        c.row_mut(ci).copy_from_slice(data.row(i));
+    /// One restart on packed 0/1 rows, bit-identical to
+    /// [`KMeans::single_run`] on their dense twins.
+    ///
+    /// Each centroid is held as exact column counts ([`SlicedCounts`]),
+    /// so the squared distance from a row `x` to a centroid of `m`
+    /// members has the exact form `E / m²` with
+    /// `E = m²·|x| − 2m·Σ_{j∈x} cnt_j + Σ_j cnt_j²`, computed with AND +
+    /// popcount. The dense loop's value `D` is an f64 sum that differs
+    /// from `E / m²` by less than [`PackedRows::margin`], so only
+    /// centroids screened within that margin of the row's best can be
+    /// its f64 winner or tie it. Those are re-scored with the dense
+    /// formula ([`CentroidTerms::distance`]) in centroid order and the
+    /// first strict minimum wins, as in the dense loop. A one-member
+    /// centroid is the member row itself, so its `D` is the integer `E`
+    /// and needs no re-score. Scores of a centroid whose counts did not
+    /// change carry over to the next iteration ([`Scores`]).
+    fn packed_run(&self, p: &PackedRows<'_>, rng: &mut ChaCha8Rng) -> PackedFit {
+        let (n, k) = (p.bits.n_rows(), self.config.k);
+        let words = p.bits.words_per_row();
+        let seeds = self.seeds(n, rng, |c| p.hamming_from(c));
+        let mut counts: Vec<SlicedCounts> = seeds
+            .iter()
+            .map(|&i| {
+                let mut c = SlicedCounts::new(words, n as u64);
+                c.add(p.bits.row_words(i));
+                c
+            })
+            .collect();
+        let mut next = counts.clone();
+        let mut stale = vec![true; k];
+        let mut scores = Scores::new(n, k, words);
+        let mut sizes = vec![0usize; k];
+        let mut assignments = vec![0usize; n];
+        let mut best = vec![0.0f64; n];
+        let mut inertia = f64::INFINITY;
+        let mut iterations = 0u32;
+        let mut rechecks = 0u64;
+        loop {
+            iterations += 1;
+            scores.forget(&stale);
+            scores.rescreen(p, &counts, &stale);
+
+            // Assignment step. Rows run sequentially: restarts (and the
+            // k sweep above them) already fill the threads, and the
+            // inertia is summed in row order as in the dense loop.
+            let mut new_inertia = 0.0;
+            for i in 0..n {
+                let x = p.bits.row_words(i);
+                let cut = scores
+                    .screen(i)
+                    .iter()
+                    .fold(f64::INFINITY, |a, &b| a.min(b))
+                    + p.margin;
+                let (mut best_c, mut best_d, mut rescored) = (0usize, f64::INFINITY, false);
+                for c in 0..k {
+                    let screened = scores.screen(i)[c];
+                    if screened > cut {
+                        continue;
+                    }
+                    let dist = if counts[c].members() == 1 {
+                        screened
+                    } else {
+                        rescored = true;
+                        scores.dense(i, c, &counts[c], x)
+                    };
+                    if dist < best_d {
+                        best_d = dist;
+                        best_c = c;
+                    }
+                }
+                rechecks += u64::from(rescored);
+                assignments[i] = best_c;
+                best[i] = best_d;
+                new_inertia += best_d;
+            }
+
+            // Empty-cluster repair, as in the dense loop. The dense loop
+            // re-scores each candidate against its old centroid; every
+            // candidate still sits in a cluster of more than one member,
+            // so it is unmoved and that score is its `best` above.
+            sizes.fill(0);
+            for &c in &assignments {
+                sizes[c] += 1;
+            }
+            for c in 0..k {
+                if sizes[c] == 0 {
+                    let (mut far_i, mut far_d) = (0usize, -1.0);
+                    for i in 0..n {
+                        if sizes[assignments[i]] > 1 && best[i] > far_d {
+                            far_d = best[i];
+                            far_i = i;
+                        }
+                    }
+                    sizes[assignments[far_i]] -= 1;
+                    assignments[far_i] = c;
+                    sizes[c] = 1;
+                }
+            }
+
+            // Update step: bit-sliced adds of every member row.
+            next.iter_mut().for_each(SlicedCounts::clear);
+            for i in 0..n {
+                next[assignments[i]].add(p.bits.row_words(i));
+            }
+            for c in 0..k {
+                stale[c] = next[c] != counts[c];
+            }
+            std::mem::swap(&mut counts, &mut next);
+
+            let improved = inertia - new_inertia > self.config.tolerance;
+            inertia = new_inertia;
+            if !improved || iterations >= self.config.max_iterations {
+                break;
+            }
+        }
+
+        // The final inertia against the final centroids: a singleton is
+        // at exactly zero from its own member, every other row at its
+        // dense score (carried over when its centroid did not change).
+        scores.forget(&stale);
+        let mut final_inertia = 0.0;
+        for i in 0..n {
+            let c = assignments[i];
+            final_inertia += if counts[c].members() == 1 {
+                0.0
+            } else {
+                scores.dense(i, c, &counts[c], p.bits.row_words(i))
+            };
+        }
+        PackedFit {
+            assignments,
+            counts,
+            inertia: final_inertia,
+            iterations,
+            rechecks,
+        }
     }
-    c
 }
 
-fn init_plus_plus(data: &Matrix, k: usize, rng: &mut ChaCha8Rng) -> Matrix {
-    let n = data.n_rows();
-    let metric = SqEuclidean;
+/// The lowest-inertia run, the earliest on ties: the strict `<` fold of
+/// the sequential restart loop.
+fn first_lowest<T>(runs: Vec<T>, inertia: impl Fn(&T) -> f64) -> T {
+    let mut best: Option<T> = None;
+    for run in runs {
+        if best.as_ref().is_none_or(|b| inertia(&run) < inertia(b)) {
+            best = Some(run);
+        }
+    }
+    best.expect("n_init >= 1")
+}
+
+/// One packed restart: its centroids stay as counts until it wins.
+struct PackedFit {
+    assignments: Vec<usize>,
+    counts: Vec<SlicedCounts>,
+    inertia: f64,
+    iterations: u32,
+    rechecks: u64,
+}
+
+impl PackedFit {
+    /// The fit with its `d`-column f64 centroids `fl(cnt_j / m)`.
+    fn into_result(self, d: usize) -> KMeansResult {
+        let mut centroids = Matrix::zeros(self.counts.len(), d);
+        for (c, counts) in self.counts.iter().enumerate() {
+            counts.write_means(centroids.row_mut(c));
+        }
+        KMeansResult {
+            assignments: self.assignments,
+            centroids,
+            inertia: self.inertia,
+            iterations: self.iterations,
+        }
+    }
+}
+
+/// The packed rows of a fit, their popcounts and the screening margin.
+struct PackedRows<'a> {
+    bits: &'a BitMatrix,
+    ones: Vec<u64>,
+    /// Hamming distances from each row that seeded some restart, shared
+    /// by all restarts of the fit.
+    seed_rows: Vec<OnceLock<Vec<f64>>>,
+    /// Bound on how far a screened value can sit above the row's
+    /// screened minimum and still be the dense loop's f64 winner.
+    ///
+    /// With `u = 2⁻⁵³`: each dense term `(x_j − fl(cnt_j/m))²` is within
+    /// `5u` of its exact value and at most 1, so the dense sum `D` is
+    /// within `δ = 5u·d + γ_{d−1}·d ≤ 1.01·u·d·(d + 4)` of `E / m²`
+    /// (`γ_n = n·u / (1 − n·u)`, the recursive-summation bound). The
+    /// screen value `fl(fl(E) · fl(1 / fl(m²)))` is within `5u·d` of
+    /// `E / m²`, and forming the cut rounds once more. The f64 winner
+    /// `w` satisfies `D_w ≤ D_c` for every `c`, so its screen value is
+    /// at most `2δ + 12u·d` above the screened minimum; the margin
+    /// `4u·d·(d + 16)` covers that with room to spare.
+    margin: f64,
+}
+
+impl<'a> PackedRows<'a> {
+    /// `None` for zero-width rows (nothing to pack) and when an exact
+    /// numerator could overflow `u64` (every one is at most `2·n²·d`) or
+    /// a column count `u32`; the fit then stays on the dense loop.
+    fn new(bits: &'a BitMatrix) -> Option<Self> {
+        let (n, d) = (bits.n_rows() as u64, bits.n_cols() as u64);
+        if d == 0 {
+            return None;
+        }
+        u32::try_from(n).ok()?;
+        n.checked_mul(n)?.checked_mul(d)?.checked_mul(2)?;
+        let ones = (0..bits.n_rows())
+            .map(|i| {
+                bits.row_words(i)
+                    .iter()
+                    .map(|w| u64::from(w.count_ones()))
+                    .sum()
+            })
+            .collect();
+        let d = d as f64;
+        Some(Self {
+            bits,
+            ones,
+            seed_rows: (0..bits.n_rows()).map(|_| OnceLock::new()).collect(),
+            margin: 2.0 * f64::EPSILON * d * (d + 16.0),
+        })
+    }
+
+    /// Every row's squared Euclidean distance to row `c`: between 0/1
+    /// rows that is the Hamming count exactly, so k-means++ makes the
+    /// same draws as on the dense rows.
+    fn hamming_from(&self, c: usize) -> &[f64] {
+        self.seed_rows[c].get_or_init(|| {
+            (0..self.bits.n_rows())
+                .map(|i| self.bits.hamming(i, c) as f64)
+                .collect()
+        })
+    }
+
+    /// `E = m²·|x| + Σ_j cnt_j² − 2m·Σ_{j∈x} cnt_j = Σ_j (m·x_j − cnt_j)²`
+    /// for row `i` against `counts` (whose `Σ_j cnt_j²` is `squares`).
+    #[inline]
+    fn numerator(&self, i: usize, counts: &SlicedCounts, squares: u64) -> u64 {
+        let m = counts.members();
+        m * m * self.ones[i] + squares - 2 * m * counts.dot(self.bits.row_words(i))
+    }
+}
+
+/// The scores of every (row, centroid) pair in one restart: the screen
+/// value `fl(E) · fl(1 / m²)` and, once computed, the dense value `D`.
+/// A centroid's scores are recomputed only after its counts change.
+struct Scores {
+    k: usize,
+    /// `n × k` screen values.
+    screen: Vec<f64>,
+    /// `n × k` dense values; NaN (which no distance is) until computed.
+    dense: Vec<f64>,
+    terms: CentroidTerms,
+}
+
+impl Scores {
+    fn new(n: usize, k: usize, words: usize) -> Self {
+        Self {
+            k,
+            screen: vec![0.0; n * k],
+            dense: vec![f64::NAN; n * k],
+            terms: CentroidTerms::new(k, words),
+        }
+    }
+
+    /// Drops the dense values of every `stale` centroid.
+    fn forget(&mut self, stale: &[bool]) {
+        for (c, _) in stale.iter().enumerate().filter(|(_, &s)| s) {
+            self.terms.built[c] = false;
+            for row in self.dense.chunks_exact_mut(self.k) {
+                row[c] = f64::NAN;
+            }
+        }
+    }
+
+    /// Recomputes the screen values of every `stale` centroid.
+    fn rescreen(&mut self, p: &PackedRows<'_>, counts: &[SlicedCounts], stale: &[bool]) {
+        for (c, counts) in counts.iter().enumerate().filter(|&(c, _)| stale[c]) {
+            let squares = counts.sum_squares();
+            let m = counts.members();
+            let inv_m2 = 1.0 / (m * m) as f64;
+            for (i, row) in self.screen.chunks_exact_mut(self.k).enumerate() {
+                row[c] = p.numerator(i, counts, squares) as f64 * inv_m2;
+            }
+        }
+    }
+
+    /// Row `i`'s screen values, one per centroid.
+    fn screen(&self, i: usize) -> &[f64] {
+        &self.screen[i * self.k..(i + 1) * self.k]
+    }
+
+    /// Row `i`'s dense value against centroid `c`, computed on first use.
+    fn dense(&mut self, i: usize, c: usize, counts: &SlicedCounts, x: &[u64]) -> f64 {
+        let slot = &mut self.dense[i * self.k + c];
+        if slot.is_nan() {
+            *slot = self.terms.distance(c, counts, x);
+        }
+        *slot
+    }
+}
+
+/// The dense formula `Σ_j (x_j − fl(cnt_j / m))²` against each centroid,
+/// from tables built on first use after its counts change.
+///
+/// A column's term depends only on `x_j` and `cnt_j`, so each centroid
+/// gets its column counts and a table of both terms per count. The term
+/// is `+0.0` exactly where `cnt_j = 0` and `x_j = 0`, or `cnt_j = m` and
+/// `x_j = 1`; adding `+0.0` to a non-negative f64 sum leaves it
+/// unchanged, so the sum runs over the other columns only, still in
+/// column order, from `+0.0` (what the dense sum of `d ≥ 1` zero terms
+/// gives too).
+struct CentroidTerms {
+    words: usize,
+    /// Columns whose count is `m`, per centroid (`k × words`).
+    full: Vec<u64>,
+    /// Columns whose count is strictly between `0` and `m`.
+    mixed: Vec<u64>,
+    /// Column counts, `k × 64·words` (tail positions count 0).
+    counts: Vec<u32>,
+    /// `[(0 − q)², (1 − q)²]` with `q = fl(cnt / m)`, indexed by count.
+    tables: Vec<Vec<[f64; 2]>>,
+    built: Vec<bool>,
+}
+
+impl CentroidTerms {
+    fn new(k: usize, words: usize) -> Self {
+        Self {
+            words,
+            full: vec![0; k * words],
+            mixed: vec![0; k * words],
+            counts: vec![0; k * words * WORD_BITS],
+            tables: vec![Vec::new(); k],
+            built: vec![false; k],
+        }
+    }
+
+    /// The dense loop's `SqEuclidean` distance, bit for bit, from packed
+    /// row `x` to centroid `c` with column counts `counts`.
+    fn distance(&mut self, c: usize, counts: &SlicedCounts, x: &[u64]) -> f64 {
+        let span = c * self.words..(c + 1) * self.words;
+        let cols = c * self.words * WORD_BITS..(c + 1) * self.words * WORD_BITS;
+        if !self.built[c] {
+            counts.uniform_columns(&mut self.full[span.clone()], &mut self.mixed[span.clone()]);
+            counts.write_counts(&mut self.counts[cols.clone()]);
+            let m = counts.members();
+            let table = &mut self.tables[c];
+            table.clear();
+            table.extend((0..=m).map(|cnt| {
+                // The dense update's sum-then-divide, then the dense
+                // metric's `d = x − y; d * d` for x = 0 and x = 1.
+                let q = cnt as f64 / m as f64;
+                let (zero, one) = (0.0 - q, 1.0 - q);
+                [zero * zero, one * one]
+            }));
+            self.built[c] = true;
+        }
+        let (full, mixed) = (&self.full[span.clone()], &self.mixed[span]);
+        let (col_counts, table) = (&self.counts[cols], &self.tables[c]);
+        let mut sum = 0.0;
+        for (w, &xw) in x.iter().enumerate() {
+            let word_counts = &col_counts[w * WORD_BITS..(w + 1) * WORD_BITS];
+            let mut live = mixed[w] | (xw ^ full[w]);
+            while live != 0 {
+                let bit = live.trailing_zeros() as usize;
+                live &= live - 1;
+                sum += table[word_counts[bit] as usize][(xw >> bit & 1) as usize];
+            }
+        }
+        sum
+    }
+}
+
+/// k-means++ seeding (Arthur & Vassilvitskii 2007): the first seed
+/// uniform, each next one drawn with probability proportional to its
+/// squared distance `dist` from the nearest seed so far.
+fn seeds_plus_plus<R: Deref<Target = [f64]>>(
+    n: usize,
+    k: usize,
+    rng: &mut ChaCha8Rng,
+    dist_from: impl Fn(usize) -> R,
+) -> Vec<usize> {
     let mut centers: Vec<usize> = Vec::with_capacity(k);
     centers.push(rng.gen_range(0..n));
-    let mut d2: Vec<f64> = (0..n)
-        .map(|i| metric.distance(data.row(i), data.row(centers[0])))
-        .collect();
+    let mut d2: Vec<f64> = dist_from(centers[0]).to_vec();
     while centers.len() < k {
         let total: f64 = d2.iter().sum();
         let next = if total <= 0.0 {
@@ -297,18 +740,21 @@ fn init_plus_plus(data: &Matrix, k: usize, rng: &mut ChaCha8Rng) -> Matrix {
                 .unwrap_or(0)
         };
         centers.push(next);
-        for i in 0..n {
-            let dist = metric.distance(data.row(i), data.row(next));
-            if dist < d2[i] {
-                d2[i] = dist;
+        for (slot, &dist) in d2.iter_mut().zip(dist_from(next).iter()) {
+            if dist < *slot {
+                *slot = dist;
             }
         }
     }
-    let mut c = Matrix::zeros(k, data.n_cols());
-    for (ci, &i) in centers.iter().enumerate() {
-        c.row_mut(ci).copy_from_slice(data.row(i));
-    }
-    c
+    centers
+}
+
+/// Uniformly random distinct seed rows.
+fn seeds_random(n: usize, k: usize, rng: &mut ChaCha8Rng) -> Vec<usize> {
+    let mut idx: Vec<usize> = (0..n).collect();
+    idx.shuffle(rng);
+    idx.truncate(k);
+    idx
 }
 
 #[cfg(test)]
@@ -423,6 +869,50 @@ mod tests {
         assert_eq!(one.assignments, four.assignments);
         assert_eq!(one.inertia.to_bits(), four.inertia.to_bits());
         assert_eq!(one.iterations, four.iterations);
+    }
+
+    #[test]
+    fn packed_path_dispatch_follows_the_kernel_policy() {
+        let binary = Matrix::from_rows(&[
+            vec![1.0, 1.0, 0.0, 0.0, 1.0],
+            vec![1.0, 1.0, 0.0, 1.0, 1.0],
+            vec![0.0, 0.0, 1.0, 1.0, 0.0],
+            vec![0.0, 1.0, 1.0, 1.0, 0.0],
+            vec![1.0, 1.0, 0.0, 0.0, 1.0],
+        ]);
+        let packed = BitMatrix::pack(&binary).expect("binary rows pack");
+        let fit = |rows: Rows<'_>, kernel| {
+            let observer = td_obs::Observer::enabled();
+            let opts = DistanceOptions::builder()
+                .kernel(kernel)
+                .observer(observer.clone())
+                .build();
+            let r = KMeans::new(KMeansConfig::with_k(2))
+                .fit_observed(rows, &opts)
+                .unwrap();
+            (r, observer.counter_value(td_obs::Counter::KMeansPackedFits))
+        };
+        let (reference, fits) = fit(Rows::Dense(&binary), KernelPolicy::Dense);
+        assert_eq!(fits, 0, "Dense pins the reference loop");
+        for rows in [
+            Rows::Dense(&binary),
+            Rows::Packed(&packed),
+            Rows::Dual {
+                dense: &binary,
+                packed: &packed,
+            },
+        ] {
+            for kernel in [KernelPolicy::Auto, KernelPolicy::Packed] {
+                let (r, fits) = fit(rows, kernel);
+                assert_eq!(fits, 1, "{kernel:?} takes the packed path");
+                assert_eq!(r.assignments, reference.assignments);
+                assert_eq!(r.inertia.to_bits(), reference.inertia.to_bits());
+                assert_eq!(r.iterations, reference.iterations);
+                assert_eq!(r.centroids, reference.centroids);
+            }
+        }
+        let (_, fits) = fit(Rows::Dense(&blobs()), KernelPolicy::Packed);
+        assert_eq!(fits, 0, "non-binary rows stay dense");
     }
 
     #[test]

@@ -21,7 +21,9 @@
 //!   representation-aware pairwise kernel ([`distance::Rows`],
 //!   [`distance::DistanceOptions`], [`bitmatrix::KernelPolicy`]);
 //! * [`kmeans`] — Lloyd's algorithm with k-means++ or random
-//!   initialization, multiple seeded restarts and empty-cluster repair;
+//!   initialization, multiple seeded restarts and empty-cluster repair,
+//!   plus an exact packed path for 0/1 rows that returns the dense
+//!   loop's bits;
 //! * [`silhouette`] — per-sample, per-cluster and partition-level
 //!   silhouette coefficients, in both the standard (global mean) and the
 //!   paper's macro-averaged form (Eqs. 5–7);

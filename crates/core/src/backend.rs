@@ -350,7 +350,8 @@ pub enum ExecutionBackend {
         /// Thread budget for every parallel kernel (distance matrices,
         /// the k-sweep, per-group runs).
         parallelism: Parallelism,
-        /// Distance-kernel policy for the shared pairwise matrix.
+        /// Kernel policy for the shared pairwise matrix and the k-means
+        /// fits.
         kernels: KernelPolicy,
     },
     /// The per-group base runs are distributed across worker processes

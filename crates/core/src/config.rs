@@ -1,6 +1,6 @@
 //! Configuration of the TD-AC pipeline.
 
-use clustering::{Cosine, Euclidean, Hamming, KernelPolicy, Linkage, Metric};
+use clustering::{Cosine, DistanceOptions, Euclidean, Hamming, KernelPolicy, Linkage, Metric};
 use serde::{Deserialize, Serialize};
 use td_obs::{ExecutionLimits, Observer};
 
@@ -129,17 +129,17 @@ pub struct TdacConfig {
     pub missing_aware: bool,
     /// **Deprecated shim** — use [`TdacConfig::backend`] with
     /// [`ExecutionBackend::InProcess`] instead; this field will be
-    /// removed after one release. Which distance kernel the shared
-    /// pairwise matrix may use: [`KernelPolicy::Auto`] (default) picks
-    /// the bit-packed popcount kernel whenever the truth vectors are
-    /// binary and the metric counts bit disagreements; `Dense` pins the
-    /// `f64` reference path; `Packed` insists on packing where
-    /// representable. All three are bit-identical — this is a
-    /// performance/verification knob, never a semantics switch (see
-    /// `docs/KERNELS.md`). Absent in serialized configs from before the
-    /// knob existed, so it deserializes via `Default`. Still honoured
-    /// whenever the backend carries the default kernel policy (see
-    /// [`TdacConfig::effective_kernel`]).
+    /// removed after one release. Which kernels the shared pairwise
+    /// matrix and the k-means fits may use: [`KernelPolicy::Auto`]
+    /// (default) picks the bit-packed kernels whenever the truth vectors
+    /// are binary (for the matrix, when the metric also counts bit
+    /// disagreements); `Dense` pins the `f64` reference paths; `Packed`
+    /// insists on packing where representable. All three are
+    /// bit-identical — this is a performance/verification knob, never a
+    /// semantics switch (see `docs/KERNELS.md`). Absent in serialized
+    /// configs from before the knob existed, so it deserializes via
+    /// `Default`. Still honoured whenever the backend carries the
+    /// default kernel policy (see [`TdacConfig::effective_kernel`]).
     #[serde(default)]
     pub kernel: KernelPolicy,
     /// Where runs of this config execute: in-process under a rayon pool
@@ -236,8 +236,8 @@ impl TdacConfig {
         (self.k_min..=k_hi).collect()
     }
 
-    /// The distance-kernel policy the shared pairwise matrix actually
-    /// uses; same resolution rule as
+    /// The kernel policy the shared pairwise matrix and the k-means
+    /// fits actually use; same resolution rule as
     /// [`TdacConfig::effective_parallelism`].
     pub fn effective_kernel(&self) -> KernelPolicy {
         match &self.backend {
@@ -246,6 +246,15 @@ impl TdacConfig {
             }
             _ => self.kernel,
         }
+    }
+
+    /// The options every distance-matrix build and k-means fit of one
+    /// run shares: the effective kernel policy plus the run's observer.
+    pub(crate) fn distance_options(&self, obs: &Observer) -> DistanceOptions {
+        DistanceOptions::builder()
+            .kernel(self.effective_kernel())
+            .observer(obs.clone())
+            .build()
     }
 }
 

@@ -16,7 +16,7 @@
 //! full view; source trust is still estimated per cluster by running the
 //! base on a *claim-filtered* clone of the dataset.
 
-use clustering::{silhouette_paper, KMeans, KMeansConfig, Matrix};
+use clustering::{silhouette_paper, BitMatrix, KMeans, KMeansConfig, Matrix, Rows};
 use serde::{Deserialize, Serialize};
 use td_algorithms::{TruthDiscovery, TruthResult};
 use td_model::{Dataset, DatasetBuilder, ObjectId};
@@ -130,6 +130,17 @@ impl Tdoc {
 
         drop(_tv);
 
+        // Object truth vectors are 0/1, so they pack once for every k's
+        // fit; the kernel policy decides whether the fits use it.
+        let packed = BitMatrix::pack(&matrix);
+        let rows = match &packed {
+            Some(packed) => Rows::Dual {
+                dense: &matrix,
+                packed,
+            },
+            None => Rows::Dense(&matrix),
+        };
+        let opts = self.config.distance_options(obs);
         let metric = self.config.metric.as_metric();
         let _sweep = obs.span("k_sweep");
         let mut best: Option<(f64, Vec<usize>)> = None;
@@ -144,7 +155,7 @@ impl Tdoc {
             };
             let assignments = {
                 let _c = obs.span("cluster");
-                KMeans::new(cfg).fit_observed(&matrix, obs)?.assignments
+                KMeans::new(cfg).fit_observed(rows, &opts)?.assignments
             };
             let sil = silhouette_paper(&matrix, &assignments, metric);
             k_scores.push((k, sil));

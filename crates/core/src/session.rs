@@ -12,8 +12,9 @@
 //!   space), and only *dirty* attribute rows are rescattered against the
 //!   fresh reference truth.
 //! * **The shared distance matrix** — updated with
-//!   [`DistanceOptions::update_pairwise`], which re-evaluates only pairs
-//!   with a dirty endpoint and copies every clean entry bit-for-bit.
+//!   [`clustering::DistanceOptions::update_pairwise`], which
+//!   re-evaluates only pairs with a dirty endpoint and copies every
+//!   clean entry bit-for-bit.
 //! * **Per-group base runs** — a group whose attributes are all clean
 //!   (and whose source count is unchanged) reuses the cached
 //!   [`TruthResult`] partial from the previous ingest instead of
@@ -49,7 +50,7 @@ use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 
-use clustering::{silhouette_paper_dist, DistanceOptions};
+use clustering::silhouette_paper_dist;
 use serde::{Deserialize, Serialize};
 use td_algorithms::{TruthDiscovery, TruthResult};
 use td_model::{
@@ -461,11 +462,7 @@ impl<B: TruthDiscovery + Sync> TdacSession<B> {
         {
             let _s = obs.span("distance_matrix");
             obs.incr(Counter::DistCacheMisses, 1);
-            let dist_opts = DistanceOptions::builder()
-                .kernel(config.effective_kernel())
-                .observer(obs.clone())
-                .build();
-            let updated = dist_opts.update_pairwise(
+            let updated = config.distance_options(obs).update_pairwise(
                 &d.dist,
                 old_n,
                 d.vectors.rows(),
@@ -762,11 +759,9 @@ fn pass_full(
     let dist = {
         let _s = obs.span("distance_matrix");
         obs.incr(Counter::DistCacheMisses, 1);
-        let dist_opts = DistanceOptions::builder()
-            .kernel(config.effective_kernel())
-            .observer(obs.clone())
-            .build();
-        dist_opts.pairwise(vectors.rows(), config.metric.as_metric())
+        config
+            .distance_options(obs)
+            .pairwise(vectors.rows(), config.metric.as_metric())
     };
     sweep_and_finish(
         base,
@@ -801,7 +796,16 @@ fn sweep_and_finish(
 ) -> Result<PassOutput, TdacError> {
     let ks = config.k_range(attrs.len());
     let Derived { vectors, dist } = &derived;
-    let evals = sweep(config, config.method, &vectors.dense, dist, &ks, obs, budget);
+    let opts = config.distance_options(obs);
+    let evals = sweep(
+        config,
+        config.method,
+        vectors.rows(),
+        dist,
+        &ks,
+        &opts,
+        budget,
+    );
     let PartitionedModel { reference, partition, silhouette, k_scores, degradation } =
         match select_partition(config, attrs, &ks, evals, budget, reference)? {
             Verdict::Partition(model) => model,

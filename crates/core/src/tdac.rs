@@ -5,8 +5,8 @@ use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use clustering::{
-    silhouette_paper_dist, Agglomerative, ClusterError, DistanceOptions, KMeans, KMeansConfig,
-    Matrix, Pam, PamConfig,
+    silhouette_paper_dist, Agglomerative, ClusterError, DistanceOptions, KMeans, KMeansConfig, Pam,
+    PamConfig, Rows,
 };
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
@@ -268,18 +268,18 @@ impl Metering {
     }
 }
 
-/// One clustering of `data` into `k` groups with `method`, reusing the
+/// One clustering of `rows` into `k` groups with `method`, reusing the
 /// shared pairwise distance matrix wherever the method allows: PAM and
 /// hierarchical clustering are purely distance-based and never touch the
-/// feature vectors again; k-means still optimizes Eq. 3 inertia in
-/// feature space (centroids have no distance-matrix form).
+/// feature vectors again; k-means optimizes Eq. 3 inertia over the rows
+/// themselves, on the exact packed path whenever `opts` allows it.
 fn cluster_cached(
     config: &TdacConfig,
     method: ClusterMethod,
-    data: &Matrix,
+    rows: Rows<'_>,
     dist: &[f64],
     k: usize,
-    obs: &Observer,
+    opts: &DistanceOptions,
 ) -> Result<Vec<usize>, ClusterError> {
     match method {
         ClusterMethod::KMeans => {
@@ -289,7 +289,7 @@ fn cluster_cached(
                 seed: config.seed,
                 ..KMeansConfig::with_k(k)
             };
-            Ok(KMeans::new(cfg).fit_observed(data, obs)?.assignments)
+            Ok(KMeans::new(cfg).fit_observed(rows, opts)?.assignments)
         }
         ClusterMethod::Pam => {
             let cfg = PamConfig {
@@ -297,11 +297,11 @@ fn cluster_cached(
                 ..PamConfig::with_k(k)
             };
             Ok(Pam::new(cfg)
-                .fit_from_distances_observed(dist, data.n_rows(), obs)?
+                .fit_from_distances_observed(dist, rows.n_rows(), &opts.observer)?
                 .assignments)
         }
         ClusterMethod::Hierarchical(linkage) => {
-            Agglomerative::new(linkage).fit_from_distances(dist, data.n_rows(), k)
+            Agglomerative::new(linkage).fit_from_distances(dist, rows.n_rows(), k)
         }
     }
 }
@@ -309,7 +309,8 @@ fn cluster_cached(
 /// Algorithm 1's silhouette k sweep, the only one: the batch pipeline
 /// (dense and masked) and the incremental session all call it. Every
 /// k of `ks` is clustered with `method` and scored from the shared
-/// distance matrix `dist` (one row of `data` per attribute).
+/// distance matrix `dist` (one row of `rows` per attribute), under the
+/// run's kernel policy and observer in `opts`.
 /// Independent k values run in parallel, each under panic isolation: a
 /// panicking worker (clusterer bug, poisoned data) surfaces as
 /// [`TdacError::WorkerPanic`] naming the k, never an abort. Under an
@@ -318,13 +319,14 @@ fn cluster_cached(
 pub(crate) fn sweep(
     config: &TdacConfig,
     method: ClusterMethod,
-    data: &Matrix,
+    rows: Rows<'_>,
     dist: &[f64],
     ks: &[usize],
-    obs: &Observer,
+    opts: &DistanceOptions,
     budget: Option<&Budget>,
 ) -> Vec<KEval> {
-    let n = data.n_rows();
+    let n = rows.n_rows();
+    let obs = &opts.observer;
     let _sweep = obs.span("k_sweep");
     ks.par_iter()
         .map(|&k| {
@@ -336,7 +338,7 @@ pub(crate) fn sweep(
                 obs.incr(Counter::DistCacheHits, 1);
                 let assignments = {
                     let _c = obs.span("cluster");
-                    cluster_cached(config, method, data, dist, k, obs)?
+                    cluster_cached(config, method, rows, dist, k, opts)?
                 };
                 let sil = silhouette_paper_dist(dist, n, &assignments);
                 Ok(Some((assignments, sil)))
@@ -752,12 +754,12 @@ impl Tdac {
         // run: the configured kernel policy plus the run's observer. A
         // matching store page replaces both the reference base run and
         // the scatter pass (see `run_store`).
-        let dist_opts = DistanceOptions::builder()
-            .kernel(config.effective_kernel())
-            .observer(obs.clone())
-            .build();
+        let dist_opts = config.distance_options(obs);
         let pairs = half_pairs(attrs.len());
-        let (data, dist, reference, method) = if config.missing_aware {
+        // Storage for whichever representation the branch builds; the
+        // sweep borrows it as `Rows`.
+        let (masked_values, vectors);
+        let (rows, dist, reference, method) = if config.missing_aware {
             // Future-work variant: masked distances + PAM (k-means has no
             // feature-space form for the masked metric). The masked dual
             // representation is rebuilt from a page's packed words
@@ -780,9 +782,16 @@ impl Tdac {
                 obs.incr(Counter::DistCacheMisses, 1);
                 masked.distance_matrix_with(&dist_opts)
             };
-            (masked.values, dist, reference, ClusterMethod::Pam)
+            masked_values = masked.values;
+            (
+                Rows::Dense(&masked_values),
+                dist,
+                reference,
+                ClusterMethod::Pam,
+            )
         } else {
-            let (vectors, reference) = {
+            let reference;
+            (vectors, reference) = {
                 let _s = obs.span("truth_vectors");
                 match seed {
                     Some(p) => (
@@ -803,10 +812,10 @@ impl Tdac {
                 // else — bit-identical either way.
                 dist_opts.pairwise(vectors.rows(), config.metric.as_metric())
             };
-            (vectors.dense, dist, reference, config.method)
+            (vectors.rows(), dist, reference, config.method)
         };
 
-        let evals = sweep(config, method, &data, &dist, &ks, obs, budget);
+        let evals = sweep(config, method, rows, &dist, &ks, &dist_opts, budget);
         Ok(match select_partition(config, attrs, &ks, evals, budget, reference)? {
             Verdict::Partition(model) => ModelSelection::Partitioned(model),
             Verdict::Floor(_, k_scores) => fallback(k_scores),
@@ -819,7 +828,7 @@ impl Tdac {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use clustering::Linkage;
+    use clustering::{Linkage, Matrix};
     use crate::config::{MetricKind, Parallelism};
     use crate::truth_vectors::truth_vector_matrix;
     use td_algorithms::{Accu, MajorityVote};
@@ -919,10 +928,19 @@ mod tests {
             vec![1.0, 0.0, 0.0, 0.0, 1.0, 1.0],
         ]);
         let config = TdacConfig::default();
-        let dist = DistanceOptions::builder().build().pairwise(&data, config.metric.as_metric());
+        let opts = DistanceOptions::default();
+        let dist = opts.pairwise(&data, config.metric.as_metric());
         let ks = config.k_range(3);
         assert_eq!(ks, vec![2]);
-        let evals = sweep(&config, config.method, &data, &dist, &ks, &Observer::disabled(), None);
+        let evals = sweep(
+            &config,
+            config.method,
+            (&data).into(),
+            &dist,
+            &ks,
+            &opts,
+            None,
+        );
         let q: Vec<AttributeId> = (0..3).map(AttributeId::new).collect();
         let reference = TruthResult::with_sources(0, 0.0);
         let Ok(Verdict::Partition(model)) =

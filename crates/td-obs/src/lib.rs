@@ -126,11 +126,19 @@ pub enum Counter {
     /// coordinator therefore ran in-process, flagging the outcome with
     /// a `ShardFallback` degradation (never thinning the merge).
     ShardFallbacks = 22,
+    /// k-means fits (one per `fit` call, all restarts included) that ran
+    /// on the exact packed path instead of the dense `f64` Lloyd loop.
+    KMeansPackedFits = 23,
+    /// Rows, summed over every packed Lloyd iteration and restart, whose
+    /// winner was picked by the dense `f64` formula: the exact screen
+    /// left a candidate of more than one member, whose score only that
+    /// formula gives bit for bit.
+    KMeansRechecks = 24,
 }
 
 impl Counter {
     /// Number of fixed counters (the backing array length).
-    pub const COUNT: usize = 23;
+    pub const COUNT: usize = 25;
 
     /// All fixed counters, in serialization order.
     pub const ALL: [Counter; Counter::COUNT] = [
@@ -157,6 +165,8 @@ impl Counter {
         Counter::ShardRetries,
         Counter::ShardRespawns,
         Counter::ShardFallbacks,
+        Counter::KMeansPackedFits,
+        Counter::KMeansRechecks,
     ];
 
     /// Stable snake_case name used in [`RunProfile`] and JSON reports.
@@ -185,6 +195,8 @@ impl Counter {
             Counter::ShardRetries => "shard_retries",
             Counter::ShardRespawns => "shard_respawns",
             Counter::ShardFallbacks => "shard_fallbacks",
+            Counter::KMeansPackedFits => "kmeans_packed_fits",
+            Counter::KMeansRechecks => "kmeans_rechecks",
         }
     }
 }

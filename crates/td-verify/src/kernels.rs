@@ -1,24 +1,28 @@
-//! Kernel-parity oracles: the bit-packed popcount Hamming kernel must be
-//! a pure performance substitution — every distance it produces, and
-//! every downstream outcome built on those distances, is bit-for-bit
-//! what the dense `f64` reference path computes.
+//! Kernel-parity oracles: the bit-packed kernels — the popcount Hamming
+//! distance matrix and the exact packed k-means — must be pure
+//! performance substitutions: every distance and fit they produce, and
+//! every downstream outcome built on them, is bit-for-bit what the
+//! dense `f64` reference paths compute.
 //!
 //! Three layers of evidence, mirroring the structure of [`crate::oracle`]:
 //!
-//! 1. **Raw matrices** — [`check_kernel_parity`] builds the truth
-//!    vectors of a real dataset and compares the full pairwise matrix
-//!    under [`KernelPolicy::Dense`] vs [`KernelPolicy::Packed`] (and the
-//!    masked variant) with `to_bits` equality, no epsilon.
+//! 1. **Raw matrices and fits** — [`check_kernel_parity`] builds the
+//!    truth vectors of a real dataset and compares the full pairwise
+//!    matrix under [`KernelPolicy::Dense`] vs [`KernelPolicy::Packed`]
+//!    (and the masked variant) with `to_bits` equality, no epsilon, plus
+//!    one k-means fit of those vectors under each policy.
 //! 2. **Non-vacuity** — the packed run must actually have taken the
-//!    packed path (`packed_kernel_invocations` / `words_xored` counters
-//!    fire) and the dense run must not, so parity is never "both sides
-//!    ran the same code".
+//!    packed paths (`packed_kernel_invocations` / `words_xored` /
+//!    `kmeans_packed_fits` counters fire) and the dense run must not,
+//!    so parity is never "both sides ran the same code".
 //! 3. **End-to-end fingerprints** — full TD-AC outcomes under `Dense`,
 //!    `Packed`, and `Auto` at pinned thread counts all collapse to one
 //!    [`OutcomeFingerprint`]; [`check_ds1_kernel_parity`] does the same
 //!    for the committed DS1 golden table.
 
-use clustering::{pairwise_distances, DistanceOptions, KernelPolicy};
+use clustering::{
+    pairwise_distances, DistanceOptions, KMeans, KMeansConfig, KMeansResult, KernelPolicy,
+};
 use td_algorithms::TruthDiscovery;
 use td_model::Dataset;
 use tdac_core::{
@@ -27,6 +31,7 @@ use tdac_core::{
 
 use crate::fingerprint::OutcomeFingerprint;
 use crate::golden::{compute_ds1_with, diff_ds1, golden_path, Ds1Golden};
+use crate::kmeans::diff_fits;
 
 /// Asserts `got` and `want` are bit-identical distance matrices,
 /// panicking with the first diverging entry.
@@ -44,12 +49,13 @@ fn assert_same_matrix(got: &[f64], want: &[f64], n: usize, context: &str) {
 }
 
 /// Distance matrix of `base`'s truth vectors on `dataset` under a pinned
-/// kernel, plus the profile of the build.
-fn matrix_under(
+/// kernel, the sweep's k-means fit of those vectors at `k = 2` (when
+/// there are two attributes to split), and the profile of both.
+fn kernels_under(
     base: &dyn TruthDiscovery,
     dataset: &Dataset,
     kernel: KernelPolicy,
-) -> (Vec<f64>, tdac_core::RunProfile) {
+) -> (Vec<f64>, Option<KMeansResult>, tdac_core::RunProfile) {
     let observer = Observer::enabled();
     let (vectors, _) = truth_vector_set(base, &dataset.view_all(), &Observer::disabled());
     let opts = DistanceOptions::builder()
@@ -58,22 +64,44 @@ fn matrix_under(
         .build();
     let config = TdacConfig::default();
     let dist = opts.pairwise(vectors.rows(), config.metric.as_metric());
+    let fit = (vectors.dense.n_rows() >= 2).then(|| {
+        let km = KMeansConfig {
+            n_init: config.n_init,
+            seed: config.seed,
+            ..KMeansConfig::with_k(2)
+        };
+        KMeans::new(km)
+            .fit_observed(vectors.rows(), &opts)
+            .expect("two truth vectors admit k = 2")
+    });
     let profile = observer.profile().expect("enabled observer yields a profile");
-    (dist, profile)
+    (dist, fit, profile)
 }
 
-/// Layer 1 + 2: raw matrix parity with non-vacuity, for both the plain
-/// Eq. 1 truth vectors and the masked (missing-aware) variant.
+/// Layer 1 + 2: raw matrix and k-means parity with non-vacuity, for
+/// both the plain Eq. 1 truth vectors and the masked (missing-aware)
+/// variant (which clusters with PAM, so it has no k-means fit).
 ///
-/// Panics with the first diverging matrix entry or a vacuity failure.
+/// Panics with the first diverging matrix entry or fit field, or a
+/// vacuity failure.
 pub fn check_kernel_parity(base: &dyn TruthDiscovery, dataset: &Dataset) {
     // Plain truth vectors.
-    let (dense, dense_profile) = matrix_under(base, dataset, KernelPolicy::Dense);
-    let (packed, packed_profile) = matrix_under(base, dataset, KernelPolicy::Packed);
-    let (auto, _) = matrix_under(base, dataset, KernelPolicy::Auto);
+    let (dense, dense_fit, dense_profile) = kernels_under(base, dataset, KernelPolicy::Dense);
+    let (packed, packed_fit, packed_profile) = kernels_under(base, dataset, KernelPolicy::Packed);
+    let (auto, auto_fit, _) = kernels_under(base, dataset, KernelPolicy::Auto);
     let n = dataset.n_attributes();
     assert_same_matrix(&packed, &dense, n, "packed vs dense pairwise Hamming");
     assert_same_matrix(&auto, &dense, n, "auto vs dense pairwise Hamming");
+    if let (Some(dense_fit), Some(packed_fit), Some(auto_fit)) =
+        (&dense_fit, &packed_fit, &auto_fit)
+    {
+        if let Some(diff) = diff_fits(packed_fit, dense_fit) {
+            panic!("packed vs dense k-means: {diff}");
+        }
+        if let Some(diff) = diff_fits(auto_fit, dense_fit) {
+            panic!("auto vs dense k-means: {diff}");
+        }
+    }
 
     // Non-vacuity: the two runs must have taken different code paths.
     assert_eq!(
@@ -81,7 +109,16 @@ pub fn check_kernel_parity(base: &dyn TruthDiscovery, dataset: &Dataset) {
         Some(0),
         "KernelPolicy::Dense leaked into the packed kernel"
     );
+    assert_eq!(
+        dense_profile.counter("kmeans_packed_fits"),
+        Some(0),
+        "KernelPolicy::Dense leaked into the packed k-means path"
+    );
     if n >= 2 {
+        assert!(
+            packed_profile.counter("kmeans_packed_fits").unwrap_or(0) > 0,
+            "KernelPolicy::Packed never reached the packed k-means path — parity is vacuous"
+        );
         assert!(
             packed_profile.counter("packed_kernel_invocations").unwrap_or(0) > 0,
             "KernelPolicy::Packed never reached the packed kernel — parity is vacuous"
@@ -134,20 +171,49 @@ pub fn check_kernel_parity(base: &dyn TruthDiscovery, dataset: &Dataset) {
 
 /// Layer 3: full TD-AC outcomes under every kernel policy at pinned
 /// thread counts (`0` meaning [`Parallelism::Auto`]) must collapse to
-/// one fingerprint. Returns the common fingerprint.
+/// one fingerprint. Non-vacuity as in layer 2: a `Dense` run must report
+/// no packed distance build and no packed k-means fit, a `Packed` run
+/// at least one of each whenever it swept k. Returns the common
+/// fingerprint.
 pub fn check_kernel_outcome_invariance(
     base: &(dyn TruthDiscovery + Sync),
     dataset: &Dataset,
     threads: &[usize],
 ) -> OutcomeFingerprint {
     let run = |kernel, parallelism| {
-        Tdac::new(TdacConfig {
+        let observer = Observer::enabled();
+        let outcome = Tdac::new(TdacConfig {
             kernel,
             backend: tdac_core::ExecutionBackend::in_process(parallelism),
+            observer: observer.clone(),
             ..TdacConfig::default()
         })
         .run(base, dataset)
-        .expect("non-empty dataset")
+        .expect("non-empty dataset");
+        let packed = |name| {
+            observer
+                .profile()
+                .and_then(|p| p.counter(name))
+                .unwrap_or(0)
+        };
+        let (builds, fits) = (
+            packed("packed_kernel_invocations"),
+            packed("kmeans_packed_fits"),
+        );
+        match kernel {
+            KernelPolicy::Dense => assert_eq!(
+                (builds, fits),
+                (0, 0),
+                "KernelPolicy::Dense at {parallelism:?} leaked into a packed kernel"
+            ),
+            KernelPolicy::Packed if !outcome.k_scores.is_empty() => assert!(
+                builds > 0 && fits > 0,
+                "KernelPolicy::Packed at {parallelism:?} missed a packed kernel \
+                 ({builds} distance builds, {fits} k-means fits) — parity is vacuous"
+            ),
+            _ => {}
+        }
+        outcome
     };
     let reference =
         OutcomeFingerprint::of(&run(KernelPolicy::Dense, Parallelism::Threads(1)));

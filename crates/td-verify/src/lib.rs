@@ -12,7 +12,9 @@
 //!    pinned thread counts (`Threads(1)` / `Threads(2)` / `Threads(8)`),
 //!    and against itself under every distance-kernel policy (`Dense` /
 //!    `Packed` / `Auto`), all compared through bit-exact
-//!    [`fingerprint`]s.
+//!    [`fingerprint`]s; [`kmeans`] holds the exact packed k-means path
+//!    to the dense Lloyd loop's bits on random binary matrices and the
+//!    Exam shape.
 //! 2. **Metamorphic invariants** (the `tests/` suites of this crate and
 //!    of `clustering` / `td-metrics`) — properties that must hold under
 //!    input transformations: relabeling sources/objects, shuffling claim
@@ -37,6 +39,7 @@ pub mod chaos;
 pub mod fingerprint;
 pub mod golden;
 pub mod kernels;
+pub mod kmeans;
 pub mod oracle;
 pub mod store;
 pub mod worlds;

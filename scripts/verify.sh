@@ -25,8 +25,14 @@ cargo bench --offline --no-run -p tdac-bench
 echo "== observer determinism: profiles on vs off, all thread counts =="
 cargo test --offline -q -p td-verify --test observer
 
-echo "== kernel parity: packed vs dense distance kernels, DS1 golden =="
+echo "== kernel parity: packed vs dense distance and k-means kernels, DS1 golden =="
 cargo test --offline -q -p td-verify --test kernels
+
+echo "== k-means parity oracle: packed vs dense Lloyd, dev and release profiles =="
+# The packed screen rests on float margins and integer arithmetic, and
+# release builds turn overflow checks off: run the oracle under both.
+cargo test --offline -q -p td-verify --test kmeans
+cargo test --offline -q --release -p td-verify --test kmeans
 
 echo "== chaos oracles: injected panics/stalls/cancels + budget invariants =="
 cargo test --offline -q -p td-verify --test chaos
