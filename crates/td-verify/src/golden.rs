@@ -1,7 +1,7 @@
 //! Paper-conformance goldens: committed snapshots of the DS1 preset
 //! tables (precision / recall / F1 / accuracy per algorithm, plain,
-//! under TD-AC and under missing-aware TD-AC, plus dataset DCR and the
-//! selected partitions).
+//! under TD-AC with each distance metric and under missing-aware TD-AC,
+//! plus dataset DCR and the selected partitions).
 //!
 //! The snapshot pins every number bit-exactly — `serde_json` prints
 //! shortest round-trip floats, so parse-compare is lossless. Any change
@@ -22,7 +22,7 @@ use td_algorithms::{standard_algorithms, TruthDiscovery};
 use td_metrics::{evaluate_fn, EvalReport};
 use td_model::stats::data_coverage_rate;
 use datagen::{generate_synthetic, SyntheticConfig};
-use tdac_core::{Tdac, TdacConfig};
+use tdac_core::{MetricKind, Tdac, TdacConfig};
 
 /// Objects in the scaled DS1 world the golden pins. Full DS1 has 1000;
 /// 120 keeps the five algorithms × (plain + TD-AC) under a few seconds
@@ -62,8 +62,8 @@ impl From<&EvalReport> for GoldenReport {
 }
 
 /// One algorithm's row: the plain (un-partitioned) run, the TD-AC run
-/// and the missing-aware TD-AC run, with each TD-AC run's model
-/// selection pinned alongside.
+/// under each distance metric and the missing-aware TD-AC run, with each
+/// TD-AC run's model selection pinned alongside.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct AlgorithmGolden {
     /// Paper-style algorithm name.
@@ -86,6 +86,22 @@ pub struct AlgorithmGolden {
     pub masked_silhouette: f64,
     /// Whether the missing-aware run fell back.
     pub masked_fallback: bool,
+    /// Metrics of the TD-AC run under the Euclidean metric.
+    pub euclidean: GoldenReport,
+    /// The partition the Euclidean run selected.
+    pub euclidean_partition: String,
+    /// Its silhouette score.
+    pub euclidean_silhouette: f64,
+    /// Whether the Euclidean run fell back.
+    pub euclidean_fallback: bool,
+    /// Metrics of the TD-AC run under the cosine metric.
+    pub cosine: GoldenReport,
+    /// The partition the cosine run selected.
+    pub cosine_partition: String,
+    /// Its silhouette score.
+    pub cosine_silhouette: f64,
+    /// Whether the cosine run fell back.
+    pub cosine_fallback: bool,
 }
 
 /// The full DS1 snapshot.
@@ -113,7 +129,8 @@ pub fn compute_ds1() -> Ds1Golden {
 }
 
 /// Recomputes the DS1 table with a caller-supplied TD-AC config (each
-/// row also runs it with `missing_aware` switched on). The committed
+/// row also runs it with `missing_aware` switched on, and with the
+/// Euclidean and cosine metrics in place of its own). The committed
 /// golden uses [`TdacConfig::default`]; the observer-neutrality harness
 /// passes an observer-enabled config and asserts the table is
 /// bit-identical either way.
@@ -126,6 +143,14 @@ pub fn compute_ds1_with(tdac_config: &TdacConfig) -> Ds1Golden {
         missing_aware: true,
         ..tdac_config.clone()
     };
+    let metric_config = |metric| TdacConfig {
+        metric,
+        ..tdac_config.clone()
+    };
+    let (euclidean_config, cosine_config) = (
+        metric_config(MetricKind::Euclidean),
+        metric_config(MetricKind::Cosine),
+    );
     let algorithms = standard_algorithms()
         .iter()
         .map(|base| {
@@ -143,6 +168,8 @@ pub fn compute_ds1_with(tdac_config: &TdacConfig) -> Ds1Golden {
             };
             let (tdac_report, outcome) = run(tdac_config);
             let (masked_report, masked) = run(&masked_config);
+            let (euclidean_report, euclidean) = run(&euclidean_config);
+            let (cosine_report, cosine) = run(&cosine_config);
             AlgorithmGolden {
                 algorithm: base.name().to_string(),
                 plain: GoldenReport::from(&plain_report),
@@ -154,6 +181,14 @@ pub fn compute_ds1_with(tdac_config: &TdacConfig) -> Ds1Golden {
                 masked_partition: masked.partition.to_string(),
                 masked_silhouette: masked.silhouette,
                 masked_fallback: masked.fallback,
+                euclidean: euclidean_report,
+                euclidean_partition: euclidean.partition.to_string(),
+                euclidean_silhouette: euclidean.silhouette,
+                euclidean_fallback: euclidean.fallback,
+                cosine: cosine_report,
+                cosine_partition: cosine.partition.to_string(),
+                cosine_silhouette: cosine.silhouette,
+                cosine_fallback: cosine.fallback,
             }
         })
         .collect();
@@ -262,6 +297,18 @@ pub fn diff_ds1(committed: &Ds1Golden, fresh: &Ds1Golden) -> Option<String> {
                 ("masked.accuracy", c.masked.accuracy, f.masked.accuracy),
                 ("masked.cell_accuracy", c.masked.cell_accuracy, f.masked.cell_accuracy),
                 ("masked_silhouette", c.masked_silhouette, f.masked_silhouette),
+                ("euclidean.precision", c.euclidean.precision, f.euclidean.precision),
+                ("euclidean.recall", c.euclidean.recall, f.euclidean.recall),
+                ("euclidean.f1", c.euclidean.f1, f.euclidean.f1),
+                ("euclidean.accuracy", c.euclidean.accuracy, f.euclidean.accuracy),
+                ("euclidean.cell_accuracy", c.euclidean.cell_accuracy, f.euclidean.cell_accuracy),
+                ("euclidean_silhouette", c.euclidean_silhouette, f.euclidean_silhouette),
+                ("cosine.precision", c.cosine.precision, f.cosine.precision),
+                ("cosine.recall", c.cosine.recall, f.cosine.recall),
+                ("cosine.f1", c.cosine.f1, f.cosine.f1),
+                ("cosine.accuracy", c.cosine.accuracy, f.cosine.accuracy),
+                ("cosine.cell_accuracy", c.cosine.cell_accuracy, f.cosine.cell_accuracy),
+                ("cosine_silhouette", c.cosine_silhouette, f.cosine_silhouette),
             ] {
                 if a.to_bits() != b.to_bits() {
                     return Some(field(name, a, b));
@@ -270,6 +317,8 @@ pub fn diff_ds1(committed: &Ds1Golden, fresh: &Ds1Golden) -> Option<String> {
             for (name, a, b) in [
                 ("tdac_partition", &c.tdac_partition, &f.tdac_partition),
                 ("masked_partition", &c.masked_partition, &f.masked_partition),
+                ("euclidean_partition", &c.euclidean_partition, &f.euclidean_partition),
+                ("cosine_partition", &c.cosine_partition, &f.cosine_partition),
             ] {
                 if a != b {
                     return Some(format!("{}.{name}: {a} vs {b}", c.algorithm));
@@ -278,6 +327,8 @@ pub fn diff_ds1(committed: &Ds1Golden, fresh: &Ds1Golden) -> Option<String> {
             for (name, a, b) in [
                 ("tdac_fallback", c.tdac_fallback, f.tdac_fallback),
                 ("masked_fallback", c.masked_fallback, f.masked_fallback),
+                ("euclidean_fallback", c.euclidean_fallback, f.euclidean_fallback),
+                ("cosine_fallback", c.cosine_fallback, f.cosine_fallback),
             ] {
                 if a != b {
                     return Some(format!("{}.{name}: {a} vs {b}", c.algorithm));
@@ -325,6 +376,10 @@ mod tests {
         moved.algorithms[1].masked_silhouette += 1e-9;
         let diff = diff_ds1(&golden, &moved).expect("must detect the masked move");
         assert!(diff.contains("TruthFinder.masked_silhouette"), "{diff}");
+        let mut moved = golden.clone();
+        moved.algorithms[3].cosine_silhouette += 1e-9;
+        let diff = diff_ds1(&golden, &moved).expect("must detect the cosine move");
+        assert!(diff.contains("Accu.cosine_silhouette"), "{diff}");
     }
 
     #[test]
