@@ -9,7 +9,7 @@ use std::hint::black_box;
 use clustering::{silhouette_paper, Hamming, KMeans, KMeansConfig};
 use td_algorithms::{TruthDiscovery, TruthFinder};
 use tdac_bench::exam_bench;
-use tdac_core::{truth_vector_matrix, Tdac, TdacConfig};
+use tdac_core::{truth_vector_set, Tdac, TdacConfig};
 
 fn bench_phases(c: &mut Criterion) {
     let (dataset, _) = exam_bench(62, 120);
@@ -21,10 +21,10 @@ fn bench_phases(c: &mut Criterion) {
 
     let obs = tdac_core::Observer::disabled();
     group.bench_function("phase1_truth_vectors", |b| {
-        b.iter(|| black_box(truth_vector_matrix(&tf, &view, &obs)));
+        b.iter(|| black_box(truth_vector_set(&tf, &view, &obs)));
     });
 
-    let (matrix, _) = truth_vector_matrix(&tf, &view, &obs);
+    let matrix = truth_vector_set(&tf, &view, &obs).0.dense;
     group.bench_function("phase2_single_kmeans_k4", |b| {
         let km = KMeans::new(KMeansConfig::with_k(4));
         b.iter(|| black_box(km.fit(&matrix).expect("fit")));

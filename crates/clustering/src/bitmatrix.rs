@@ -27,10 +27,10 @@ pub const WORD_BITS: usize = 64;
 /// Which kernels `pairwise_distances` and the k-means fits may use.
 ///
 /// The packed distance kernel applies only when the data is binary
-/// (packable) and the metric counts bit disagreements on 0/1 vectors
-/// ([`crate::Metric::counts_bits_on_binary`]); the packed k-means only
-/// needs binary data. Outside that envelope every policy falls back to
-/// the dense `f64` path. Results are bit-identical either way — the
+/// (packable) and the metric has an exact count form on 0/1 vectors
+/// ([`crate::Metric::count_form`]); the packed k-means only needs
+/// binary data. Outside that envelope every policy falls back to the
+/// dense `f64` path. Results are bit-identical either way — the
 /// policy is a performance knob and a pin for parity tests, never a
 /// semantics switch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
@@ -248,6 +248,19 @@ impl BitMatrix {
         let w = i * self.words_per_row + j / WORD_BITS;
         let mask = self.mask.as_mut().expect("BitMatrix has no validity mask");
         mask[w] |= 1u64 << (j % WORD_BITS);
+    }
+
+    /// Whether coordinate `(i, j)` is observed in the validity mask.
+    ///
+    /// # Panics
+    /// Panics if the matrix has no mask or the coordinate is out of
+    /// range.
+    #[inline]
+    pub fn is_observed(&self, i: usize, j: usize) -> bool {
+        assert!(i < self.rows && j < self.cols, "bit ({i}, {j}) out of range");
+        let w = i * self.words_per_row + j / WORD_BITS;
+        let mask = self.mask.as_ref().expect("BitMatrix has no validity mask");
+        mask[w] >> (j % WORD_BITS) & 1 == 1
     }
 
     /// The packed words of row `i`.
@@ -628,6 +641,8 @@ mod tests {
         for j in 20..70 {
             m.set_observed(1, j);
         }
+        assert!(m.is_observed(0, 39) && !m.is_observed(0, 40));
+        assert!(!m.is_observed(1, 19) && m.is_observed(1, 69));
         m.set_bit(0, 25, true);
         m.set_bit(1, 66, true);
         let (diff, co) = m.masked_counts(0, 1);

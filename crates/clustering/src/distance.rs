@@ -2,18 +2,25 @@
 //! distance-matrix kernel every distance-based entry point builds on.
 //!
 //! The kernel is representation-aware: callers hand it [`Rows`] — a
-//! dense [`Matrix`], a packed [`BitMatrix`], or both — and it picks the
-//! bit-packed XOR+popcount path whenever the data is binary and the
-//! metric counts bit disagreements ([`Metric::counts_bits_on_binary`]),
-//! falling back to the dense `f64` loop otherwise. The two paths are
-//! bit-identical on their shared envelope (distances are exact integer
-//! counts, exactly representable in `f64`); `docs/KERNELS.md` has the
-//! full dispatch table.
+//! dense [`Matrix`] or a packed [`BitMatrix`] — and on binary rows it
+//! evaluates each pair through the metric's exact count form
+//! ([`Metric::count_form`]) over XOR and row popcounts, falling back to
+//! the dense `f64` loop for non-binary rows, for metrics without a count
+//! form, and under [`KernelPolicy::Dense`]. The two paths are
+//! bit-identical on binary rows (every sum of 0/1 terms is an exact
+//! integer in `f64`); `docs/KERNELS.md` has the full dispatch table.
+
+use std::borrow::Cow;
 
 use rayon::prelude::*;
 
 use crate::bitmatrix::{BitMatrix, KernelPolicy};
 use crate::matrix::Matrix;
+
+/// A metric restricted to 0/1 rows, as a function of three bit counts:
+/// `differ`, the positions where the two rows disagree (the popcount of
+/// their XOR), and `ones_a` / `ones_b`, the set bits of each row.
+pub type CountForm = fn(differ: u64, ones_a: u64, ones_b: u64) -> f64;
 
 /// A dissimilarity measure between two equal-length vectors.
 ///
@@ -30,14 +37,22 @@ pub trait Metric: Sync {
     /// Short name for reports and ablation tables.
     fn name(&self) -> &'static str;
 
-    /// True when, restricted to 0/1 vectors, this metric equals the
-    /// exact count of disagreeing positions — the envelope in which the
-    /// packed popcount kernel of [`pairwise_distances`] is bit-identical
-    /// to the dense path. Defaults to `false`; [`Hamming`] and
-    /// [`Manhattan`] (identical on 0/1 data) opt in.
-    fn counts_bits_on_binary(&self) -> bool {
-        false
+    /// This metric on 0/1 vectors, computed from bit counts. When
+    /// `Some`, the form must return exactly the bits [`Metric::distance`]
+    /// returns on every pair of 0/1 vectors — the condition under which
+    /// the packed kernels may replace the dense loop. Defaults to `None`
+    /// (always the dense loop).
+    fn count_form(&self) -> Option<CountForm> {
+        None
     }
+}
+
+/// The count form of every metric that sums per-coordinate disagreement
+/// terms: on 0/1 entries `|x − y|` and `(x − y)²` are the disagreement
+/// indicator, and a sequential `f64` sum of such terms is the exact
+/// integer count.
+fn disagreements(differ: u64, _: u64, _: u64) -> f64 {
+    differ as f64
 }
 
 /// Euclidean (L2) distance — what k-means centroids minimize.
@@ -72,39 +87,47 @@ impl Metric for Euclidean {
     fn name(&self) -> &'static str {
         "euclidean"
     }
+
+    fn count_form(&self) -> Option<CountForm> {
+        Some(|differ, _, _| (differ as f64).sqrt())
+    }
 }
 
 impl Metric for SqEuclidean {
     fn distance(&self, a: &[f64], b: &[f64]) -> f64 {
         debug_assert_eq!(a.len(), b.len());
-        a.iter()
-            .zip(b)
-            .map(|(&x, &y)| {
-                let d = x - y;
-                d * d
-            })
-            .sum()
+        // Folded from +0.0: `Iterator::sum` starts at −0.0, which an
+        // empty (zero-width) pair would return.
+        a.iter().zip(b).fold(0.0, |acc, (&x, &y)| {
+            let d = x - y;
+            acc + d * d
+        })
     }
 
     fn name(&self) -> &'static str {
         "sq-euclidean"
+    }
+
+    fn count_form(&self) -> Option<CountForm> {
+        Some(disagreements)
     }
 }
 
 impl Metric for Manhattan {
     fn distance(&self, a: &[f64], b: &[f64]) -> f64 {
         debug_assert_eq!(a.len(), b.len());
-        a.iter().zip(b).map(|(&x, &y)| (x - y).abs()).sum()
+        // Folded from +0.0 for the same reason as `SqEuclidean`.
+        a.iter()
+            .zip(b)
+            .fold(0.0, |acc, (&x, &y)| acc + (x - y).abs())
     }
 
     fn name(&self) -> &'static str {
         "manhattan"
     }
 
-    fn counts_bits_on_binary(&self) -> bool {
-        // |x − y| on 0/1 entries is the disagreement indicator, and the
-        // sequential f64 sum of exact small integers is exact.
-        true
+    fn count_form(&self) -> Option<CountForm> {
+        Some(disagreements)
     }
 }
 
@@ -119,8 +142,8 @@ impl Metric for Hamming {
         "hamming"
     }
 
-    fn counts_bits_on_binary(&self) -> bool {
-        true
+    fn count_form(&self) -> Option<CountForm> {
+        Some(disagreements)
     }
 }
 
@@ -133,44 +156,49 @@ impl Metric for Cosine {
             na += x * x;
             nb += y * y;
         }
-        if na == 0.0 && nb == 0.0 {
-            return 0.0;
-        }
-        if na == 0.0 || nb == 0.0 {
-            return 1.0;
-        }
-        (1.0 - dot / (na.sqrt() * nb.sqrt())).max(0.0)
+        cosine_from_sums(dot, na, nb)
     }
 
     fn name(&self) -> &'static str {
         "cosine"
     }
+
+    fn count_form(&self) -> Option<CountForm> {
+        // On 0/1 rows the three sums are exact integers: `na` and `nb`
+        // are the row popcounts and `dot = |a ∧ b| = (|a| + |b| − |a ⊕ b|) / 2`.
+        Some(|differ, ones_a, ones_b| {
+            let dot = (ones_a + ones_b - differ) / 2;
+            cosine_from_sums(dot as f64, ones_a as f64, ones_b as f64)
+        })
+    }
+}
+
+/// `1 − dot / (‖a‖·‖b‖)` from the three sums, clamped at 0; a zero
+/// vector is at distance 0 from another zero vector and 1 from anything
+/// else.
+fn cosine_from_sums(dot: f64, na: f64, nb: f64) -> f64 {
+    if na == 0.0 && nb == 0.0 {
+        return 0.0;
+    }
+    if na == 0.0 || nb == 0.0 {
+        return 1.0;
+    }
+    (1.0 - dot / (na.sqrt() * nb.sqrt())).max(0.0)
 }
 
 /// The observation rows a distance computation runs over, in whichever
-/// representations the caller happens to hold.
+/// representation the caller holds.
 ///
-/// `&Matrix` and `&BitMatrix` both convert via `Into`, so existing
-/// call sites read unchanged (`pairwise_distances(&matrix, …)`).
-/// Carrying `Dual` lets the kernel pick per metric without ever
-/// re-packing or densifying: packed popcount for bit-counting metrics,
-/// dense floats for everything else.
+/// `&Matrix` and `&BitMatrix` both convert via `Into`, so call sites
+/// read `pairwise_distances(&matrix, …)` or `pairwise_distances(&bits, …)`.
 #[derive(Clone, Copy)]
 pub enum Rows<'a> {
-    /// Dense `f64` rows only; the kernel may pack them on the fly when
-    /// they are binary and the metric counts bits.
+    /// Dense `f64` rows; packed on the fly when they are binary and the
+    /// pass takes the count form.
     Dense(&'a Matrix),
-    /// Packed rows only; densified (via [`BitMatrix::to_dense`]) when a
-    /// non-bit-counting metric needs floats.
+    /// Packed 0/1 rows; densified (via [`BitMatrix::to_dense`]) only when
+    /// the pass needs the dense loop.
     Packed(&'a BitMatrix),
-    /// Both representations of the same data — the kernel trusts that
-    /// they agree and never converts.
-    Dual {
-        /// The dense representation.
-        dense: &'a Matrix,
-        /// The packed representation of the same rows.
-        packed: &'a BitMatrix,
-    },
 }
 
 impl Rows<'_> {
@@ -179,7 +207,6 @@ impl Rows<'_> {
         match self {
             Rows::Dense(m) => m.n_rows(),
             Rows::Packed(b) => b.n_rows(),
-            Rows::Dual { dense, .. } => dense.n_rows(),
         }
     }
 
@@ -188,7 +215,85 @@ impl Rows<'_> {
         match self {
             Rows::Dense(m) => m.n_cols(),
             Rows::Packed(b) => b.n_cols(),
-            Rows::Dual { dense, .. } => dense.n_cols(),
+        }
+    }
+}
+
+/// How one distance pass evaluates a pair of rows: the metric's count
+/// form over packed rows, or the metric itself over dense rows. Both
+/// give the same bits on binary rows, so the choice only decides speed.
+pub(crate) enum PairKernel<'a> {
+    /// Packed rows with their popcounts, scored by the count form.
+    Counts {
+        bits: Cow<'a, BitMatrix>,
+        ones: Vec<u64>,
+        form: CountForm,
+    },
+    /// Dense rows, scored by [`Metric::distance`].
+    Dense {
+        rows: Cow<'a, Matrix>,
+        metric: &'a dyn Metric,
+    },
+}
+
+impl<'a> PairKernel<'a> {
+    /// The dispatch rule every distance pass shares: binary rows take
+    /// the metric's count form unless `kernel` pins
+    /// [`KernelPolicy::Dense`]; everything else runs the dense loop.
+    pub(crate) fn new(rows: Rows<'a>, metric: &'a dyn Metric, kernel: KernelPolicy) -> Self {
+        let Some(form) = metric
+            .count_form()
+            .filter(|_| kernel != KernelPolicy::Dense)
+        else {
+            return Self::dense(rows, metric);
+        };
+        let bits = match rows {
+            Rows::Packed(b) => Cow::Borrowed(b),
+            Rows::Dense(m) => match BitMatrix::pack(m) {
+                Some(b) => Cow::Owned(b),
+                None => return Self::dense(rows, metric),
+            },
+        };
+        let ones = (0..bits.n_rows())
+            .map(|i| {
+                bits.row_words(i)
+                    .iter()
+                    .map(|w| u64::from(w.count_ones()))
+                    .sum()
+            })
+            .collect();
+        PairKernel::Counts { bits, ones, form }
+    }
+
+    /// The dense loop over `rows`, densifying packed ones.
+    pub(crate) fn dense(rows: Rows<'a>, metric: &'a dyn Metric) -> Self {
+        let rows = match rows {
+            Rows::Dense(m) => Cow::Borrowed(m),
+            Rows::Packed(b) => Cow::Owned(b.to_dense()),
+        };
+        PairKernel::Dense { rows, metric }
+    }
+
+    /// Distance between rows `i` and `j`.
+    #[inline]
+    pub(crate) fn distance(&self, i: usize, j: usize) -> f64 {
+        match self {
+            PairKernel::Counts { bits, ones, form } => form(bits.hamming(i, j), ones[i], ones[j]),
+            PairKernel::Dense { rows, metric } => metric.distance(rows.row(i), rows.row(j)),
+        }
+    }
+
+    /// Bumps [`td_obs::Counter::DistanceEvals`] by the `evaluated`
+    /// pairs, plus the packed-kernel counters when the count form ran —
+    /// one aggregate increment per pass, never in the hot loop.
+    fn record(&self, observer: &td_obs::Observer, evaluated: u64) {
+        observer.incr(td_obs::Counter::DistanceEvals, evaluated);
+        if let PairKernel::Counts { bits, .. } = self {
+            observer.incr(td_obs::Counter::PackedKernelInvocations, 1);
+            observer.incr(
+                td_obs::Counter::WordsXored,
+                evaluated * bits.words_per_row() as u64,
+            );
         }
     }
 }
@@ -318,13 +423,13 @@ impl DistanceOptionsBuilder {
 /// This is the shared cache the TD-AC k-sweep, PAM and hierarchical
 /// clustering all reuse instead of recomputing `O(n²·d)` distances.
 ///
-/// Under the default [`KernelPolicy::Auto`] the build dispatches to the
-/// bit-packed popcount kernel when the rows are (or pack to) binary and
-/// `metric.counts_bits_on_binary()`; the result is bit-identical to the
-/// dense path either way. Instrumentation: bumps
-/// [`td_obs::Counter::DistanceEvals`] by the `n·(n−1)/2` upper-triangle
-/// entries, plus [`td_obs::Counter::PackedKernelInvocations`] /
-/// [`td_obs::Counter::WordsXored`] when the packed kernel ran — one
+/// Under the default [`KernelPolicy::Auto`] binary rows (packed, or
+/// dense rows that pack) are scored through `metric.count_form()`; the
+/// result is bit-identical to the dense path either way.
+/// Instrumentation: bumps [`td_obs::Counter::DistanceEvals`] by the
+/// `n·(n−1)/2` upper-triangle entries, plus
+/// [`td_obs::Counter::PackedKernelInvocations`] /
+/// [`td_obs::Counter::WordsXored`] when the count form ran — one
 /// aggregate increment per build, never in the hot loop. Use
 /// [`DistanceOptions`] to pin the kernel explicitly.
 pub fn pairwise_distances<'a>(
@@ -361,51 +466,12 @@ fn pairwise_impl(
         return vec![0.0; n * n];
     }
     let pairs = (n as u64) * (n as u64 - 1) / 2;
-
-    if kernel != KernelPolicy::Dense && metric.counts_bits_on_binary() {
-        // Packed storage outlives the borrow when a dense-only input
-        // packs on the fly.
-        let on_the_fly;
-        let packed: Option<&BitMatrix> = match rows {
-            Rows::Packed(b) | Rows::Dual { packed: b, .. } => Some(b),
-            Rows::Dense(m) => {
-                on_the_fly = BitMatrix::pack(m);
-                on_the_fly.as_ref()
-            }
-        };
-        if let Some(bm) = packed {
-            let strips: Vec<Vec<f64>> = (0..n)
-                .into_par_iter()
-                .map(|i| ((i + 1)..n).map(|j| bm.hamming(i, j) as f64).collect())
-                .collect();
-            observer.incr(td_obs::Counter::DistanceEvals, pairs);
-            observer.incr(td_obs::Counter::PackedKernelInvocations, 1);
-            observer.incr(
-                td_obs::Counter::WordsXored,
-                pairs * bm.words_per_row() as u64,
-            );
-            return mirror_strips(strips, n);
-        }
-        // Non-binary data: fall through to the dense path.
-    }
-
-    let densified;
-    let data: &Matrix = match rows {
-        Rows::Dense(m) | Rows::Dual { dense: m, .. } => m,
-        Rows::Packed(b) => {
-            densified = b.to_dense();
-            &densified
-        }
-    };
+    let kernel = PairKernel::new(rows, metric, kernel);
     let strips: Vec<Vec<f64>> = (0..n)
         .into_par_iter()
-        .map(|i| {
-            ((i + 1)..n)
-                .map(|j| metric.distance(data.row(i), data.row(j)))
-                .collect()
-        })
+        .map(|i| ((i + 1)..n).map(|j| kernel.distance(i, j)).collect())
         .collect();
-    observer.incr(td_obs::Counter::DistanceEvals, pairs);
+    kernel.record(observer, pairs);
     mirror_strips(strips, n)
 }
 
@@ -442,46 +508,13 @@ fn update_pairwise_impl(
 
     // Re-evaluate each dirty pair with the same per-pair kernel a fresh
     // build would pick (see `pairwise_impl`).
-    let on_the_fly;
-    let packed: Option<&BitMatrix> = if kernel != KernelPolicy::Dense
-        && metric.counts_bits_on_binary()
-    {
-        match rows {
-            Rows::Packed(b) | Rows::Dual { packed: b, .. } => Some(b),
-            Rows::Dense(m) => {
-                on_the_fly = BitMatrix::pack(m);
-                on_the_fly.as_ref()
-            }
-        }
-    } else {
-        None
-    };
-    let densified;
-    let dense: Option<&Matrix> = if packed.is_some() {
-        None
-    } else {
-        Some(match rows {
-            Rows::Dense(m) | Rows::Dual { dense: m, .. } => m,
-            Rows::Packed(b) => {
-                densified = b.to_dense();
-                &densified
-            }
-        })
-    };
-
+    let kernel = PairKernel::new(rows, metric, kernel);
     let strips: Vec<Vec<(usize, f64)>> = (0..n)
         .into_par_iter()
         .map(|i| {
             ((i + 1)..n)
                 .filter(|&j| is_dirty[i] || is_dirty[j])
-                .map(|j| {
-                    let d = match (packed, dense) {
-                        (Some(bm), _) => bm.hamming(i, j) as f64,
-                        (None, Some(m)) => metric.distance(m.row(i), m.row(j)),
-                        (None, None) => unreachable!("one representation is always picked"),
-                    };
-                    (j, d)
-                })
+                .map(|j| (j, kernel.distance(i, j)))
                 .collect()
         })
         .collect();
@@ -493,14 +526,7 @@ fn update_pairwise_impl(
         }
     }
     if recomputed > 0 {
-        observer.incr(td_obs::Counter::DistanceEvals, recomputed);
-        if let Some(bm) = packed {
-            observer.incr(td_obs::Counter::PackedKernelInvocations, 1);
-            observer.incr(
-                td_obs::Counter::WordsXored,
-                recomputed * bm.words_per_row() as u64,
-            );
-        }
+        kernel.record(observer, recomputed);
     }
     dist
 }
@@ -515,6 +541,27 @@ mod tests {
 
     fn disabled() -> Observer {
         Observer::disabled()
+    }
+
+    /// Every metric this module defines; all of them have a count form.
+    fn all_metrics() -> [&'static dyn Metric; 5] {
+        [&Hamming, &Manhattan, &SqEuclidean, &Euclidean, &Cosine]
+    }
+
+    /// A metric with no count form, so every pass over it runs the
+    /// dense loop.
+    struct Chebyshev;
+
+    impl Metric for Chebyshev {
+        fn distance(&self, a: &[f64], b: &[f64]) -> f64 {
+            a.iter()
+                .zip(b)
+                .fold(0.0, |m, (&x, &y)| f64::max(m, (x - y).abs()))
+        }
+
+        fn name(&self) -> &'static str {
+            "chebyshev"
+        }
     }
 
     #[test]
@@ -550,12 +597,29 @@ mod tests {
     }
 
     #[test]
-    fn only_bit_counting_metrics_opt_into_the_packed_kernel() {
-        assert!(Hamming.counts_bits_on_binary());
-        assert!(Manhattan.counts_bits_on_binary());
-        assert!(!Euclidean.counts_bits_on_binary());
-        assert!(!SqEuclidean.counts_bits_on_binary());
-        assert!(!Cosine.counts_bits_on_binary());
+    fn count_forms_equal_the_dense_distance_on_binary_vectors() {
+        assert!(Chebyshev.count_form().is_none(), "count forms are opt-in");
+        // Every pair of 0/1 vectors up to width 5, the empty pair included.
+        for metric in all_metrics() {
+            let form = metric.count_form().expect("built-in metrics count bits");
+            for width in 0..=5usize {
+                let vectors: Vec<Vec<f64>> = (0..1u32 << width)
+                    .map(|bits| (0..width).map(|c| f64::from(bits >> c & 1)).collect())
+                    .collect();
+                let ones = |v: &[f64]| v.iter().filter(|&&x| x == 1.0).count() as u64;
+                for a in &vectors {
+                    for b in &vectors {
+                        let differ = a.iter().zip(b).filter(|(x, y)| x != y).count() as u64;
+                        assert_eq!(
+                            form(differ, ones(a), ones(b)).to_bits(),
+                            metric.distance(a, b).to_bits(),
+                            "{} on {a:?} vs {b:?}",
+                            metric.name()
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -614,24 +678,29 @@ mod tests {
 
     #[test]
     fn packed_and_dense_kernels_are_bit_identical_on_binary_data() {
-        let rows: Vec<Vec<f64>> = (0..12)
+        let mut rows: Vec<Vec<f64>> = (0..12)
             .map(|r| (0..130).map(|c| f64::from(u8::from((r * 7 + c * 3) % 5 < 2))).collect())
             .collect();
-        let data = Matrix::from_rows(&rows);
-        let dense = DistanceOptions::builder()
-            .kernel(KernelPolicy::Dense)
-            .build()
-            .pairwise(&data, &Hamming);
-        let packed = DistanceOptions::builder()
-            .kernel(KernelPolicy::Packed)
-            .build()
-            .pairwise(&data, &Hamming);
-        let auto = pairwise_distances(&data, &Hamming, &disabled());
-        assert_eq!(dense.len(), packed.len());
-        for (i, (d, p)) in dense.iter().zip(&packed).enumerate() {
-            assert_eq!(d.to_bits(), p.to_bits(), "entry {i}");
+        // All-zero rows reach cosine's zero-vector branches.
+        rows.extend([vec![0.0; 130], vec![0.0; 130]]);
+        // Zero-width rows: every distance is an empty sum, which must be +0.0.
+        for data in [Matrix::from_rows(&rows), Matrix::zeros(3, 0)] {
+            for metric in all_metrics() {
+                let under = |kernel| {
+                    DistanceOptions::builder()
+                        .kernel(kernel)
+                        .build()
+                        .pairwise(&data, metric)
+                };
+                let (dense, packed) = (under(KernelPolicy::Dense), under(KernelPolicy::Packed));
+                let auto = pairwise_distances(&data, metric, &disabled());
+                assert_eq!(dense.len(), packed.len());
+                for (i, (d, p)) in dense.iter().zip(&packed).enumerate() {
+                    assert_eq!(d.to_bits(), p.to_bits(), "{} entry {i}", metric.name());
+                }
+                assert_eq!(packed, auto, "Auto picks the packed kernel on this input");
+            }
         }
-        assert_eq!(packed, auto, "Auto picks the packed kernel on this input");
     }
 
     #[test]
@@ -642,13 +711,20 @@ mod tests {
             vec![1.0, 1.0, 0.0],
             vec![0.0, 0.0, 0.0],
         ]);
-        let packed_obs = Observer::enabled();
-        pairwise_distances(&data, &Hamming, &packed_obs);
-        let p = packed_obs.profile().unwrap();
-        assert_eq!(p.counter("distance_evals"), Some(6));
-        assert_eq!(p.counter("packed_kernel_invocations"), Some(1));
-        // 3 columns → 1 word per row, 6 pairs.
-        assert_eq!(p.counter("words_xored"), Some(6));
+        for metric in all_metrics() {
+            let packed_obs = Observer::enabled();
+            pairwise_distances(&data, metric, &packed_obs);
+            let p = packed_obs.profile().unwrap();
+            assert_eq!(p.counter("distance_evals"), Some(6), "{}", metric.name());
+            assert_eq!(
+                p.counter("packed_kernel_invocations"),
+                Some(1),
+                "{}",
+                metric.name()
+            );
+            // 3 columns → 1 word per row, 6 pairs.
+            assert_eq!(p.counter("words_xored"), Some(6), "{}", metric.name());
+        }
 
         let dense_obs = Observer::enabled();
         DistanceOptions::builder()
@@ -682,30 +758,15 @@ mod tests {
     }
 
     #[test]
-    fn packed_rows_densify_for_non_bit_metrics() {
+    fn packed_rows_densify_for_metrics_without_a_count_form() {
         let data = Matrix::from_rows(&[vec![1.0, 0.0, 1.0], vec![0.0, 1.0, 1.0]]);
         let bits = BitMatrix::pack(&data).unwrap();
-        let via_packed = pairwise_distances(&bits, &Euclidean, &disabled());
-        let via_dense = pairwise_distances(&data, &Euclidean, &disabled());
-        assert_eq!(via_packed, via_dense);
-    }
-
-    #[test]
-    fn dual_rows_use_the_packed_side_for_hamming() {
-        let data = Matrix::from_rows(&[vec![1.0, 0.0], vec![0.0, 0.0], vec![1.0, 1.0]]);
-        let bits = BitMatrix::pack(&data).unwrap();
         let observer = Observer::enabled();
-        let dual = pairwise_distances(
-            Rows::Dual {
-                dense: &data,
-                packed: &bits,
-            },
-            &Hamming,
-            &observer,
-        );
-        assert_eq!(dual, pairwise_distances(&data, &Hamming, &disabled()));
+        let via_packed = pairwise_distances(&bits, &Chebyshev, &observer);
+        let via_dense = pairwise_distances(&data, &Chebyshev, &disabled());
+        assert_eq!(via_packed, via_dense);
         let p = observer.profile().unwrap();
-        assert_eq!(p.counter("packed_kernel_invocations"), Some(1));
+        assert_eq!(p.counter("packed_kernel_invocations"), Some(0));
     }
 
     #[test]

@@ -116,7 +116,7 @@ impl KMeans {
     /// policy and observer of `opts`.
     ///
     /// The packed path runs when a packed form exists (`Rows::Packed`,
-    /// `Rows::Dual`, or dense rows that [`BitMatrix::pack`] accepts) and
+    /// or dense rows that [`BitMatrix::pack`] accepts) and
     /// the policy is not [`KernelPolicy::Dense`] — the same rule as the
     /// distance matrix. Its result is bit-identical to the dense Lloyd
     /// loop's: assignments, centroids, inertia and iteration count.
@@ -152,7 +152,7 @@ impl KMeans {
         let on_the_fly;
         let bits: Option<&BitMatrix> = match rows {
             _ if opts.kernel == KernelPolicy::Dense => None,
-            Rows::Packed(b) | Rows::Dual { packed: b, .. } => Some(b),
+            Rows::Packed(b) => Some(b),
             Rows::Dense(m) => {
                 on_the_fly = BitMatrix::pack(m);
                 on_the_fly.as_ref()
@@ -175,7 +175,7 @@ impl KMeans {
 
         let densified;
         let dense: &Matrix = match rows {
-            Rows::Dense(m) | Rows::Dual { dense: m, .. } => m,
+            Rows::Dense(m) => m,
             Rows::Packed(b) => {
                 densified = b.to_dense();
                 &densified
@@ -894,14 +894,7 @@ mod tests {
         };
         let (reference, fits) = fit(Rows::Dense(&binary), KernelPolicy::Dense);
         assert_eq!(fits, 0, "Dense pins the reference loop");
-        for rows in [
-            Rows::Dense(&binary),
-            Rows::Packed(&packed),
-            Rows::Dual {
-                dense: &binary,
-                packed: &packed,
-            },
-        ] {
+        for rows in [Rows::Dense(&binary), Rows::Packed(&packed)] {
             for kernel in [KernelPolicy::Auto, KernelPolicy::Packed] {
                 let (r, fits) = fit(rows, kernel);
                 assert_eq!(fits, 1, "{kernel:?} takes the packed path");

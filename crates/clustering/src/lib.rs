@@ -14,12 +14,12 @@
 //! * [`matrix::Matrix`] — a dense row-major `f64` matrix (the attribute
 //!   truth-vector matrix of the paper's §3.1);
 //! * [`bitmatrix::BitMatrix`] — the same rows packed into `u64` words
-//!   (plus an optional validity mask), feeding the XOR+popcount Hamming
-//!   kernel;
+//!   (plus an optional validity mask), feeding the XOR+popcount kernels;
 //! * [`distance`] — the metric zoo (Euclidean, squared Euclidean,
-//!   Manhattan, Hamming — the paper's Eq. 2 — cosine) and the
-//!   representation-aware pairwise kernel ([`distance::Rows`],
-//!   [`distance::DistanceOptions`], [`bitmatrix::KernelPolicy`]);
+//!   Manhattan, Hamming — the paper's Eq. 2 — cosine), each with an
+//!   exact count form on 0/1 rows, and the representation-aware pairwise
+//!   kernel ([`distance::Rows`], [`distance::DistanceOptions`],
+//!   [`bitmatrix::KernelPolicy`]);
 //! * [`kmeans`] — Lloyd's algorithm with k-means++ or random
 //!   initialization, multiple seeded restarts and empty-cluster repair,
 //!   plus an exact packed path for 0/1 rows that returns the dense
@@ -49,8 +49,8 @@ pub mod silhouette;
 
 pub use bitmatrix::{BitMatrix, KernelPolicy};
 pub use distance::{
-    pairwise_distances, Cosine, DistanceOptions, DistanceOptionsBuilder, Euclidean, Hamming,
-    Manhattan, Metric, Rows, SqEuclidean,
+    pairwise_distances, CountForm, Cosine, DistanceOptions, DistanceOptionsBuilder, Euclidean,
+    Hamming, Manhattan, Metric, Rows, SqEuclidean,
 };
 pub use error::ClusterError;
 pub use hierarchical::{Agglomerative, Linkage};

@@ -98,29 +98,6 @@ impl Matrix {
         (0..self.rows).map(move |i| self.row(i))
     }
 
-    /// Appends `extra` zero-valued columns to every row, re-striding the
-    /// backing buffer in place. Existing entries keep their values; the
-    /// new trailing columns of every row are `0.0`.
-    pub fn append_cols(&mut self, extra: usize) {
-        if extra == 0 {
-            return;
-        }
-        let new_cols = self.cols + extra;
-        let mut data = vec![0.0; self.rows * new_cols];
-        for i in 0..self.rows {
-            data[i * new_cols..i * new_cols + self.cols]
-                .copy_from_slice(&self.data[i * self.cols..(i + 1) * self.cols]);
-        }
-        self.cols = new_cols;
-        self.data = data;
-    }
-
-    /// Appends `extra` all-zero rows.
-    pub fn append_zero_rows(&mut self, extra: usize) {
-        self.rows += extra;
-        self.data.resize(self.rows * self.cols, 0.0);
-    }
-
     /// The flat backing buffer.
     pub fn as_slice(&self) -> &[f64] {
         &self.data
@@ -180,26 +157,6 @@ mod tests {
         assert!(m.is_empty());
         assert_eq!(m.n_cols(), 0);
         assert_eq!(m.iter_rows().count(), 0);
-    }
-
-    #[test]
-    fn append_cols_preserves_and_zero_fills() {
-        let mut m = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]);
-        m.append_cols(3);
-        assert_eq!(m.n_cols(), 5);
-        assert_eq!(m.row(0), &[1.0, 2.0, 0.0, 0.0, 0.0]);
-        assert_eq!(m.row(1), &[3.0, 4.0, 0.0, 0.0, 0.0]);
-        m.append_cols(0);
-        assert_eq!(m.n_cols(), 5);
-    }
-
-    #[test]
-    fn append_zero_rows_extends() {
-        let mut m = Matrix::from_rows(&[vec![1.0, 2.0]]);
-        m.append_zero_rows(2);
-        assert_eq!(m.n_rows(), 3);
-        assert_eq!(m.row(0), &[1.0, 2.0]);
-        assert_eq!(m.row(2), &[0.0, 0.0]);
     }
 
     #[test]

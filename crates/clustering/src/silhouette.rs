@@ -3,30 +3,8 @@
 
 use rayon::prelude::*;
 
-use crate::bitmatrix::BitMatrix;
-use crate::distance::{Metric, Rows};
-use crate::matrix::Matrix;
-
-/// How a silhouette pass reads pairwise distances: the packed popcount
-/// kernel when the caller already holds packed rows and the metric
-/// counts bits, the dense metric loop otherwise. Both produce exact
-/// integer counts on binary data, so the choice never changes a bit of
-/// the output.
-#[derive(Clone, Copy)]
-enum Access<'a> {
-    Packed(&'a BitMatrix),
-    Dense(&'a Matrix),
-}
-
-impl Access<'_> {
-    #[inline]
-    fn distance(&self, metric: &dyn Metric, i: usize, j: usize) -> f64 {
-        match self {
-            Access::Packed(b) => b.hamming(i, j) as f64,
-            Access::Dense(m) => metric.distance(m.row(i), m.row(j)),
-        }
-    }
-}
+use crate::bitmatrix::KernelPolicy;
+use crate::distance::{Metric, PairKernel, Rows};
 
 /// Per-sample silhouette coefficients.
 ///
@@ -37,8 +15,10 @@ impl Access<'_> {
 /// get `0` (Rousseeuw's convention — nothing to cohere with), as do
 /// samples where `max(α, β) = 0`.
 ///
-/// Accepts any [`Rows`] representation; packed rows use the popcount
-/// kernel when the metric counts bits and are densified otherwise.
+/// Accepts any [`Rows`] representation. Packed rows take the metric's
+/// count form ([`Metric::count_form`]), or are densified when it has
+/// none; dense rows run the metric itself. Both give the same bits on
+/// binary rows.
 pub fn silhouette_samples<'a>(
     data: impl Into<Rows<'a>>,
     assignments: &[usize],
@@ -56,16 +36,9 @@ pub fn silhouette_samples<'a>(
         s
     };
 
-    let densified;
-    let access = match rows {
-        Rows::Packed(b) | Rows::Dual { packed: b, .. } if metric.counts_bits_on_binary() => {
-            Access::Packed(b)
-        }
-        Rows::Dense(m) | Rows::Dual { dense: m, .. } => Access::Dense(m),
-        Rows::Packed(b) => {
-            densified = b.to_dense();
-            Access::Dense(&densified)
-        }
+    let pairs = match rows {
+        Rows::Dense(_) => PairKernel::dense(rows, metric),
+        Rows::Packed(_) => PairKernel::new(rows, metric, KernelPolicy::Auto),
     };
 
     // Samples are independent: each one scans all n others, so the work
@@ -84,7 +57,7 @@ pub fn silhouette_samples<'a>(
             let mut mean_to = vec![0.0f64; k];
             for j in 0..n {
                 if i != j {
-                    mean_to[assignments[j]] += access.distance(metric, i, j);
+                    mean_to[assignments[j]] += pairs.distance(i, j);
                 }
             }
             let alpha = mean_to[ci] / (sizes[ci] - 1) as f64;
@@ -213,6 +186,7 @@ fn macro_average(coeffs: &[f64], assignments: &[usize]) -> f64 {
 mod tests {
     use super::*;
     use crate::distance::{Euclidean, Hamming};
+    use crate::matrix::Matrix;
 
     fn blobs() -> (Matrix, Vec<usize>) {
         let data = Matrix::from_rows(&[
@@ -360,7 +334,7 @@ mod tests {
         for (a, b) in dense.iter().zip(&packed) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
-        // A non-bit metric densifies packed rows instead of mis-counting.
+        // Euclidean's count form is its `sqrt`, and gives the same bits too.
         let dense_e = silhouette_samples(&data, &asg, &Euclidean);
         let packed_e = silhouette_samples(&bits, &asg, &Euclidean);
         for (a, b) in dense_e.iter().zip(&packed_e) {

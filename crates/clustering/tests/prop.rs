@@ -4,8 +4,9 @@ use proptest::prelude::*;
 
 use tdac_clustering::{
     pairwise_distances, silhouette_paper, silhouette_paper_dist, silhouette_samples,
-    silhouette_samples_dist, Agglomerative, BitMatrix, DistanceOptions, Euclidean, Hamming,
-    KMeans, KMeansConfig, KernelPolicy, Linkage, Matrix, Pam, PamConfig, SqEuclidean, Metric,
+    silhouette_samples_dist, Agglomerative, BitMatrix, Cosine, DistanceOptions, Euclidean,
+    Hamming, KMeans, KMeansConfig, KernelPolicy, Linkage, Manhattan, Matrix, Metric, Pam,
+    PamConfig, SqEuclidean,
 };
 
 fn disabled() -> td_obs::Observer {
@@ -203,31 +204,27 @@ proptest! {
 
     #[test]
     fn packed_and_dense_hamming_are_bit_identical(
-        (data, _cols) in arb_binary_matrix(),
+        (data, cols) in arb_binary_matrix(),
     ) {
-        // The packed XOR+popcount kernel must agree with the dense f64
-        // loop exactly — integer disagreement counts are exactly
-        // representable, so the contract is `==` on bits, no epsilon.
-        let dense = DistanceOptions::builder()
-            .kernel(KernelPolicy::Dense)
-            .build()
-            .pairwise(&data, &Hamming);
-        let packed = DistanceOptions::builder()
-            .kernel(KernelPolicy::Packed)
-            .build()
-            .pairwise(&data, &Hamming);
-        let auto = pairwise_distances(&data, &Hamming, &disabled());
-        prop_assert_eq!(dense.len(), packed.len());
-        for (i, (d, p)) in dense.iter().zip(&packed).enumerate() {
-            prop_assert_eq!(d.to_bits(), p.to_bits(), "entry {}", i);
-        }
-        for (d, a) in dense.iter().zip(&auto) {
-            prop_assert_eq!(d.to_bits(), a.to_bits());
-        }
-        // Manhattan is the same count on 0/1 data and also dispatches.
-        let manhattan = pairwise_distances(&data, &tdac_clustering::Manhattan, &disabled());
-        for (d, m) in dense.iter().zip(&manhattan) {
-            prop_assert_eq!(d.to_bits(), m.to_bits());
+        // Every metric's count form must agree with the dense f64 loop
+        // exactly — sums of 0/1 terms are exact integers, so the
+        // contract is `==` on bits, no epsilon. Two all-zero rows reach
+        // cosine's zero-vector branches.
+        let mut rows: Vec<Vec<f64>> = data.iter_rows().map(<[f64]>::to_vec).collect();
+        rows.extend([vec![0.0; cols], vec![0.0; cols]]);
+        let data = Matrix::from_rows(&rows);
+        let metrics: [&dyn Metric; 5] = [&Hamming, &Manhattan, &SqEuclidean, &Euclidean, &Cosine];
+        for metric in metrics {
+            let under = |kernel| {
+                DistanceOptions::builder().kernel(kernel).build().pairwise(&data, metric)
+            };
+            let (dense, packed) = (under(KernelPolicy::Dense), under(KernelPolicy::Packed));
+            let auto = pairwise_distances(&data, metric, &disabled());
+            prop_assert_eq!(dense.len(), packed.len());
+            for (i, ((d, p), a)) in dense.iter().zip(&packed).zip(&auto).enumerate() {
+                prop_assert_eq!(d.to_bits(), p.to_bits(), "{} entry {}", metric.name(), i);
+                prop_assert_eq!(d.to_bits(), a.to_bits(), "{} entry {}", metric.name(), i);
+            }
         }
     }
 
@@ -308,7 +305,7 @@ proptest! {
         // Metamorphic pin for the incremental distance path: mutate one
         // row, append zero columns and one new row, then check the
         // updated matrix equals a fresh rebuild bit-for-bit under every
-        // kernel policy.
+        // kernel policy and metric.
         let n = data.n_rows();
         let dirty_row = dirty_seed % n;
         let mut grown: Vec<Vec<f64>> = data
@@ -319,14 +316,18 @@ proptest! {
         grown[dirty_row][flip_col % w] = 1.0 - grown[dirty_row][flip_col % w];
         grown.push((0..w).map(|c| f64::from(u8::from(c % 3 == 0))).collect());
         let new = Matrix::from_rows(&grown);
-        for kernel in [KernelPolicy::Dense, KernelPolicy::Packed, KernelPolicy::Auto] {
+        let metrics: [&dyn Metric; 3] = [&Hamming, &Euclidean, &Cosine];
+        for (kernel, metric) in [KernelPolicy::Dense, KernelPolicy::Packed, KernelPolicy::Auto]
+            .into_iter()
+            .flat_map(|kernel| metrics.map(|metric| (kernel, metric)))
+        {
             let opts = DistanceOptions::builder().kernel(kernel).build();
-            let old = opts.pairwise(&data, &Hamming);
-            let updated = opts.update_pairwise(&old, n, &new, &Hamming, &[dirty_row]);
-            let fresh = opts.pairwise(&new, &Hamming);
+            let old = opts.pairwise(&data, metric);
+            let updated = opts.update_pairwise(&old, n, &new, metric, &[dirty_row]);
+            let fresh = opts.pairwise(&new, metric);
             prop_assert_eq!(updated.len(), fresh.len());
             for (i, (u, f)) in updated.iter().zip(&fresh).enumerate() {
-                prop_assert_eq!(u.to_bits(), f.to_bits(), "{:?} entry {}", kernel, i);
+                prop_assert_eq!(u.to_bits(), f.to_bits(), "{:?} {} entry {}", kernel, metric.name(), i);
             }
         }
     }

@@ -93,10 +93,7 @@ pub use partition::{bell_number, partitions_iter, AttributePartition, PartitionI
 pub use query::{Prediction, QueryResponse, SourceTrust, TruthQuery};
 pub use session::{IngestReport, RepartitionPolicy, SessionError, TdacSession};
 pub use tdac::{ModelSelection, PartitionedModel, Tdac, TdacError, TdacOutcome};
-pub use truth_vectors::{
-    truth_vector_matrix, truth_vector_set, truth_vector_set_from_result,
-    truth_vectors_from_result, TruthVectors,
-};
+pub use truth_vectors::{truth_vector_set, truth_vector_set_from_result, TruthVectors};
 
 // Re-export the representation-aware distance vocabulary so downstream
 // crates can pick kernels without a direct clustering dependency.

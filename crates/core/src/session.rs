@@ -50,7 +50,7 @@ use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 
-use clustering::silhouette_paper_dist;
+use clustering::{silhouette_paper_dist, BitMatrix, Rows};
 use serde::{Deserialize, Serialize};
 use td_algorithms::{TruthDiscovery, TruthResult};
 use td_model::{
@@ -65,9 +65,7 @@ use crate::tdac::{
     exhausted, half_pairs, merge_partials, per_group_partials, run_spine, select_partition,
     store_seed, sweep, PartitionedModel, TdacError, TdacOutcome, Verdict,
 };
-use crate::truth_vectors::{
-    rescatter_rows, truth_vector_set, truth_vector_set_from_result, TruthVectors,
-};
+use crate::truth_vectors::{rescatter_rows, truth_bits, truth_bits_from_result};
 
 /// When an ingest re-runs the silhouette k-sweep instead of keeping the
 /// pinned attribute partition. Independent of the policy, new
@@ -153,11 +151,11 @@ pub struct IngestReport {
     pub outcome: TdacOutcome,
 }
 
-/// The maintained dense-path intermediates: Eq. 1 truth vectors (both
-/// representations) and the shared pairwise distance matrix.
+/// The maintained intermediates of the unmasked pipeline: the packed
+/// Eq. 1 truth vectors and the shared pairwise distance matrix.
 #[derive(Debug, Clone)]
 struct Derived {
-    vectors: TruthVectors,
+    vectors: BitMatrix,
     dist: Vec<f64>,
 }
 
@@ -396,10 +394,15 @@ impl<B: TruthDiscovery + Sync> TdacSession<B> {
                 0
             } else {
                 let d = derived.as_mut().expect("incremental path has dense state");
-                let old_n = d.vectors.dense.n_rows();
-                d.vectors.append_attribute_rows(n - old_n);
+                let old_n = d.vectors.n_rows();
+                // New attributes append zero rows (rescattered below: they
+                // arrive with claims). New objects append their block of
+                // `n_sources` columns at the tail, since the column index is
+                // `object · n_sources + source`, so every existing bit keeps
+                // its coordinate.
+                d.vectors.append_zero_rows(n - old_n);
                 let target_cols = dataset.n_objects() * dataset.n_sources();
-                d.vectors.append_pair_cols(target_cols - d.vectors.dense.n_cols());
+                d.vectors.append_cols(target_cols - d.vectors.n_cols());
                 rescatter_rows(&mut d.vectors, &view, &new_reference, &dirty);
                 old_n
             };
@@ -465,7 +468,7 @@ impl<B: TruthDiscovery + Sync> TdacSession<B> {
             let updated = config.distance_options(obs).update_pairwise(
                 &d.dist,
                 old_n,
-                d.vectors.rows(),
+                &d.vectors,
                 config.metric.as_metric(),
                 &dirty_rows,
             );
@@ -749,8 +752,8 @@ fn pass_full(
     let (vectors, reference) = {
         let _s = obs.span("truth_vectors");
         match reference {
-            Some(r) => (truth_vector_set_from_result(&view, &r), r),
-            None => truth_vector_set(base, &view, obs),
+            Some(r) => (truth_bits_from_result(&view, &r), r),
+            None => truth_bits(base, &view, obs),
         }
     };
     if let Some(deg) = exhausted(budget, "truth_vectors", half_pairs(attrs.len())) {
@@ -761,7 +764,7 @@ fn pass_full(
         obs.incr(Counter::DistCacheMisses, 1);
         config
             .distance_options(obs)
-            .pairwise(vectors.rows(), config.metric.as_metric())
+            .pairwise(&vectors, config.metric.as_metric())
     };
     sweep_and_finish(
         base,
@@ -800,7 +803,7 @@ fn sweep_and_finish(
     let evals = sweep(
         config,
         config.method,
-        vectors.rows(),
+        Rows::Packed(vectors),
         dist,
         &ks,
         &opts,

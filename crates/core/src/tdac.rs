@@ -5,8 +5,8 @@ use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use clustering::{
-    silhouette_paper_dist, Agglomerative, ClusterError, DistanceOptions, KMeans, KMeansConfig, Pam,
-    PamConfig, Rows,
+    silhouette_paper_dist, Agglomerative, BitMatrix, ClusterError, DistanceOptions, KMeans,
+    KMeansConfig, Pam, PamConfig, Rows,
 };
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
@@ -19,9 +19,9 @@ use td_obs::{
 use td_store::{DatasetStore, TruthPage};
 
 use crate::config::{ClusterMethod, TdacConfig};
-use crate::masked::MaskedTruthVectors;
+use crate::masked::{self, MaskedTruthVectors};
 use crate::partition::AttributePartition;
-use crate::truth_vectors::{truth_vector_set, TruthVectors};
+use crate::truth_vectors::truth_bits;
 
 /// Errors from a TD-AC run.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -368,19 +368,15 @@ pub(crate) enum Verdict {
     Degraded(TruthResult, Vec<(usize, f64)>, Degradation),
 }
 
-/// The winner scan and the selection policy that every driver shares.
-///
-/// The scan runs in k order: the first error wins (matching the
-/// sequential sweep), skipped entries drop out, and strict `>` keeps the
-/// smallest k on silhouette ties like Algorithm 1's comparison.
-pub(crate) fn select_partition(
-    config: &TdacConfig,
-    attrs: &[AttributeId],
-    ks: &[usize],
-    evals: Vec<KEval>,
-    budget: Option<&Budget>,
-    reference: TruthResult,
-) -> Result<Verdict, TdacError> {
+/// Every scored `(k, silhouette)` of a sweep, and its best
+/// `(silhouette, assignments)`.
+pub(crate) type SweepScan = (Vec<(usize, f64)>, Option<(f64, Vec<usize>)>);
+
+/// The winner scan over a [`sweep`], in k order: the first error wins
+/// (matching the sequential sweep), skipped entries drop out, and
+/// strict `>` keeps the smallest k on silhouette ties like Algorithm
+/// 1's comparison.
+pub(crate) fn scan_sweep(ks: &[usize], evals: Vec<KEval>) -> Result<SweepScan, TdacError> {
     let mut best: Option<(f64, Vec<usize>)> = None;
     let mut k_scores = Vec::with_capacity(ks.len());
     for (&k, eval) in ks.iter().zip(evals) {
@@ -390,6 +386,20 @@ pub(crate) fn select_partition(
             best = Some((sil, assignments));
         }
     }
+    Ok((k_scores, best))
+}
+
+/// The selection policy that every TD-AC driver shares, applied to the
+/// [`scan_sweep`] of its sweep.
+pub(crate) fn select_partition(
+    config: &TdacConfig,
+    attrs: &[AttributeId],
+    ks: &[usize],
+    evals: Vec<KEval>,
+    budget: Option<&Budget>,
+    reference: TruthResult,
+) -> Result<Verdict, TdacError> {
+    let (k_scores, best) = scan_sweep(ks, evals)?;
     // Skipped k values mean the budget interrupted the sweep.
     let sweep_degradation = (k_scores.len() < ks.len()).then(|| {
         let b = budget.expect("k values are only skipped under a budget");
@@ -522,6 +532,23 @@ pub(crate) fn store_seed<'s>(
     })
 }
 
+/// Step 2 for `config`'s pipeline mode: the reference base run and the
+/// packed truth vectors of it — Eq. 1 values, plus a validity mask when
+/// `missing_aware`.
+fn build_truth_bits(
+    config: &TdacConfig,
+    base: &dyn TruthDiscovery,
+    view: &DatasetView<'_>,
+    obs: &Observer,
+) -> (BitMatrix, TruthResult) {
+    if config.missing_aware {
+        let (masked, reference) = MaskedTruthVectors::build(base, view, obs);
+        (masked.packed, reference)
+    } else {
+        truth_bits(base, view, obs)
+    }
+}
+
 /// The TD-AC algorithm. See the crate docs for the pipeline.
 #[derive(Debug, Clone)]
 pub struct Tdac {
@@ -612,15 +639,8 @@ impl Tdac {
         base: &(dyn TruthDiscovery + Sync),
         dataset: &Dataset,
     ) -> DatasetStore {
-        let view = dataset.view_all();
-        let obs = &self.config.observer;
-        let (matrix, reference) = if self.config.missing_aware {
-            let (masked, reference) = MaskedTruthVectors::build(base, &view, obs);
-            (masked.packed, reference)
-        } else {
-            let (vectors, reference) = truth_vector_set(base, &view, obs);
-            (vectors.packed, reference)
-        };
+        let (matrix, reference) =
+            build_truth_bits(&self.config, base, &dataset.view_all(), &self.config.observer);
         let mut store = DatasetStore::new(dataset.clone());
         store.push_page(TruthPage {
             algorithm: base.name().to_string(),
@@ -756,66 +776,40 @@ impl Tdac {
         // the scatter pass (see `run_store`).
         let dist_opts = config.distance_options(obs);
         let pairs = half_pairs(attrs.len());
-        // Storage for whichever representation the branch builds; the
-        // sweep borrows it as `Rows`.
-        let (masked_values, vectors);
-        let (rows, dist, reference, method) = if config.missing_aware {
-            // Future-work variant: masked distances + PAM (k-means has no
-            // feature-space form for the masked metric). The masked dual
-            // representation is rebuilt from a page's packed words
-            // (bit-identical — the words are canonical).
-            let (masked, reference) = {
-                let _s = obs.span("truth_vectors");
-                match seed.and_then(|p| {
-                    MaskedTruthVectors::from_packed(p.matrix.clone())
-                        .map(|m| (m, p.reference.clone()))
-                }) {
-                    Some(pair) => pair,
-                    None => MaskedTruthVectors::build(base, view, obs),
+        // A matching page lends its packed matrix; the sweep borrows the
+        // rows either way.
+        let built;
+        let (bits, reference) = {
+            let _s = obs.span("truth_vectors");
+            match seed {
+                Some(p) => (&p.matrix, p.reference.clone()),
+                None => {
+                    let reference;
+                    (built, reference) = build_truth_bits(config, base, view, obs);
+                    (&built, reference)
                 }
-            };
-            if let Some(deg) = exhausted(budget, "truth_vectors", pairs) {
-                return Ok(degraded(reference, Vec::new(), deg));
             }
-            let dist = {
-                let _s = obs.span("distance_matrix");
-                obs.incr(Counter::DistCacheMisses, 1);
-                masked.distance_matrix_with(&dist_opts)
-            };
-            masked_values = masked.values;
-            (
-                Rows::Dense(&masked_values),
-                dist,
-                reference,
-                ClusterMethod::Pam,
-            )
-        } else {
-            let reference;
-            (vectors, reference) = {
-                let _s = obs.span("truth_vectors");
-                match seed {
-                    Some(p) => (
-                        TruthVectors::from_packed(p.matrix.clone()),
-                        p.reference.clone(),
-                    ),
-                    None => truth_vector_set(base, view, obs),
-                }
-            };
-            if let Some(deg) = exhausted(budget, "truth_vectors", pairs) {
-                return Ok(degraded(reference, Vec::new(), deg));
-            }
-            let dist = {
-                let _s = obs.span("distance_matrix");
-                obs.incr(Counter::DistCacheMisses, 1);
-                // Dual rows: the packed side feeds the popcount kernel
-                // when the metric counts bits, the dense side everything
-                // else — bit-identical either way.
-                dist_opts.pairwise(vectors.rows(), config.metric.as_metric())
-            };
-            (vectors.rows(), dist, reference, config.method)
         };
-
-        let evals = sweep(config, method, rows, &dist, &ks, &dist_opts, budget);
+        if let Some(deg) = exhausted(budget, "truth_vectors", pairs) {
+            return Ok(degraded(reference, Vec::new(), deg));
+        }
+        let dist = {
+            let _s = obs.span("distance_matrix");
+            obs.incr(Counter::DistCacheMisses, 1);
+            if config.missing_aware {
+                masked::distance_matrix(bits, dist_opts.kernel, &dist_opts.observer)
+            } else {
+                dist_opts.pairwise(bits, config.metric.as_metric())
+            }
+        };
+        // The missing-aware variant clusters with PAM: k-means has no
+        // feature-space form for the masked metric.
+        let method = if config.missing_aware {
+            ClusterMethod::Pam
+        } else {
+            config.method
+        };
+        let evals = sweep(config, method, Rows::Packed(bits), &dist, &ks, &dist_opts, budget);
         Ok(match select_partition(config, attrs, &ks, evals, budget, reference)? {
             Verdict::Partition(model) => ModelSelection::Partitioned(model),
             Verdict::Floor(_, k_scores) => fallback(k_scores),
@@ -830,7 +824,7 @@ mod tests {
     use super::*;
     use clustering::{Linkage, Matrix};
     use crate::config::{MetricKind, Parallelism};
-    use crate::truth_vectors::truth_vector_matrix;
+    use crate::truth_vectors::truth_vector_set;
     use td_algorithms::{Accu, MajorityVote};
     use td_model::{DatasetBuilder, Value};
     use td_obs::Observer;
@@ -1181,23 +1175,28 @@ mod tests {
     fn cached_distance_sweep_matches_feature_space_scores() {
         // The k-sweep scores every k from the shared distance matrix;
         // those silhouettes must be bit-identical to evaluating the
-        // metric directly in feature space (the pre-cache behaviour).
+        // metric directly on the dense rows, for every metric.
         let (d, _) = correlated_dataset();
-        let out = Tdac::new(TdacConfig::default()).run(&MajorityVote, &d).unwrap();
-        let (matrix, _) =
-            truth_vector_matrix(&MajorityVote, &d.view_all(), &td_obs::Observer::disabled());
-        let metric = MetricKind::Hamming.as_metric();
-        assert!(!out.k_scores.is_empty());
-        for &(k, sil) in &out.k_scores {
-            let cfg = KMeansConfig {
-                k,
-                n_init: 10,
-                seed: 42,
-                ..KMeansConfig::with_k(k)
+        let matrix =
+            truth_vector_set(&MajorityVote, &d.view_all(), &td_obs::Observer::disabled()).0.dense;
+        for metric in [MetricKind::Hamming, MetricKind::Euclidean, MetricKind::Cosine] {
+            let config = TdacConfig {
+                metric,
+                ..TdacConfig::default()
             };
-            let asg = KMeans::new(cfg).fit(&matrix).unwrap().assignments;
-            let expect = clustering::silhouette_paper(&matrix, &asg, metric);
-            assert_eq!(sil.to_bits(), expect.to_bits(), "k = {k}");
+            let out = Tdac::new(config).run(&MajorityVote, &d).unwrap();
+            assert!(!out.k_scores.is_empty());
+            for &(k, sil) in &out.k_scores {
+                let cfg = KMeansConfig {
+                    k,
+                    n_init: 10,
+                    seed: 42,
+                    ..KMeansConfig::with_k(k)
+                };
+                let asg = KMeans::new(cfg).fit(&matrix).unwrap().assignments;
+                let expect = clustering::silhouette_paper(&matrix, &asg, metric.as_metric());
+                assert_eq!(sil.to_bits(), expect.to_bits(), "{metric:?}, k = {k}");
+            }
         }
     }
 

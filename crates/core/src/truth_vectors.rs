@@ -19,63 +19,59 @@ use clustering::{BitMatrix, Matrix, Rows};
 use td_algorithms::{TruthDiscovery, TruthResult};
 use td_model::DatasetView;
 
-/// The attribute truth vectors of Eq. 1 in both representations the
-/// distance layer can consume: the dense `f64` matrix k-means needs and
-/// the same rows bit-packed for the popcount Hamming kernel.
+/// The attribute truth vectors of Eq. 1 for callers outside the
+/// pipeline that read dense rows: the packed matrix the pipeline keeps,
+/// plus a dense copy unpacked from it.
 ///
-/// Both are built in one scatter pass over the view's claims, so they
-/// agree by construction; [`TruthVectors::rows`] hands them to
-/// `clustering` as [`Rows::Dual`], letting the kernel choose per metric
-/// without converting.
+/// Every coordinate is exactly 0 or 1, so the dense copy is the matrix
+/// a dense scatter would have built, bit for bit. The pipeline itself
+/// carries only the packed rows.
 #[derive(Debug, Clone)]
 pub struct TruthVectors {
-    /// Dense Eq. 1 matrix (attributes × object-source pairs).
+    /// Dense Eq. 1 matrix (attributes × object-source pairs), unpacked
+    /// from `packed`.
     pub dense: Matrix,
-    /// The same 0/1 rows packed into `u64` words.
+    /// The 0/1 rows packed into `u64` words.
     pub packed: BitMatrix,
 }
 
 impl TruthVectors {
-    /// Rebuilds the dual representation from an already-packed matrix —
-    /// the `td-store` load path. The dense side is unpacked from the
-    /// words; since truth vectors are exactly 0/1, the result is
-    /// bit-identical to the matrix the scatter pass would have built
-    /// against the same reference.
-    pub fn from_packed(packed: BitMatrix) -> Self {
-        Self {
-            dense: packed.to_dense(),
-            packed,
-        }
-    }
-
-    /// Both representations, for representation-aware distance kernels.
+    /// The packed rows, for representation-aware distance kernels.
     pub fn rows(&self) -> Rows<'_> {
-        Rows::Dual {
-            dense: &self.dense,
-            packed: &self.packed,
+        Rows::Packed(&self.packed)
+    }
+}
+
+/// Sets bit `(row, object · n_sources + source)` for every claim that
+/// matches `reference`, on the rows (attributes in `view.attributes()`
+/// order) that `keep` selects (Eq. 1). When `bits` carries a validity
+/// mask, every claimed coordinate is also marked observed — the
+/// missing-aware variant's scatter.
+pub(crate) fn scatter(
+    bits: &mut BitMatrix,
+    view: &DatasetView<'_>,
+    reference: &TruthResult,
+    keep: impl Fn(usize) -> bool,
+) {
+    let dataset = view.dataset();
+    let n_sources = dataset.n_sources();
+    let observe = bits.has_mask();
+    for (row, &attribute) in view.attributes().iter().enumerate() {
+        if !keep(row) {
+            continue;
         }
-    }
-
-    /// Appends `extra` all-zero attribute rows to both representations,
-    /// keeping them in lockstep. New attributes always arrive with
-    /// claims, so the incremental engine rescatters the appended rows
-    /// right after via [`rescatter_rows`].
-    pub fn append_attribute_rows(&mut self, extra: usize) {
-        self.dense.append_zero_rows(extra);
-        self.packed.append_zero_rows(extra);
-    }
-
-    /// Appends `extra` all-zero `(object, source)` columns to both
-    /// representations. Because the column index is
-    /// `object.index() * n_sources + source.index()`, **new objects**
-    /// extend the column space purely at the tail (their block of
-    /// `n_sources` columns comes after every existing one), so existing
-    /// entries keep their coordinates bit-for-bit. New *sources* shift
-    /// every object's block and need a full rebuild instead — the
-    /// session enforces that distinction.
-    pub fn append_pair_cols(&mut self, extra: usize) {
-        self.dense.append_cols(extra);
-        self.packed.append_cols(extra);
+        for cell in dataset.cells_of_attribute(attribute) {
+            let truth = reference.prediction(cell.object, attribute);
+            for claim in dataset.cell_claims(cell) {
+                let col = cell.object.index() * n_sources + claim.source.index();
+                if observe {
+                    bits.set_observed(row, col);
+                }
+                if Some(claim.value) == truth {
+                    bits.set_bit(row, col, true);
+                }
+            }
+        }
     }
 }
 
@@ -89,71 +85,51 @@ impl TruthVectors {
 /// instead of rebuilding it. Dirty attributes outside the view are
 /// ignored.
 pub fn rescatter_rows(
-    vectors: &mut TruthVectors,
+    bits: &mut BitMatrix,
     view: &DatasetView<'_>,
     reference: &TruthResult,
     dirty: &[td_model::AttributeId],
 ) {
-    let dataset = view.dataset();
-    let n_sources = dataset.n_sources();
-    let n_cols = vectors.dense.n_cols();
-    let mut row_of = vec![usize::MAX; dataset.n_attributes()];
-    for (r, a) in view.attributes().iter().enumerate() {
-        row_of[a.index()] = r;
-    }
-    let mut dirty_row = vec![false; view.attributes().len()];
+    let mut is_dirty = vec![false; view.dataset().n_attributes()];
     for a in dirty {
-        let row = row_of[a.index()];
-        if row == usize::MAX {
-            continue;
-        }
-        dirty_row[row] = true;
-        for c in 0..n_cols {
-            vectors.dense.set(row, c, 0.0);
-        }
-        vectors.packed.clear_row(row);
+        is_dirty[a.index()] = true;
     }
-    for cell in view.cells() {
-        let row = row_of[cell.attribute.index()];
-        if row == usize::MAX || !dirty_row[row] {
-            continue;
-        }
-        let Some(truth) = reference.prediction(cell.object, cell.attribute) else {
-            continue;
-        };
-        for claim in view.cell_claims(cell) {
-            if claim.value == truth {
-                let col = cell.object.index() * n_sources + claim.source.index();
-                vectors.dense.set(row, col, 1.0);
-                vectors.packed.set_bit(row, col, true);
-            }
-        }
+    let dirty_row = |row: usize| is_dirty[view.attributes()[row].index()];
+    for row in (0..view.attributes().len()).filter(|&row| dirty_row(row)) {
+        bits.clear_row(row);
     }
+    scatter(bits, view, reference, dirty_row);
 }
 
-/// Runs `base` on `view` and builds the truth-vector matrix: one row per
-/// attribute of the view (in `view.attributes()` order), one column per
-/// `(object, source)` pair (objects × sources of the parent dataset,
-/// lexicographic).
-///
-/// Returns the matrix and the base run's result (so TD-AC can reuse the
-/// reference truth instead of re-running `F`). The reference base run is
-/// recorded against `observer` (fixpoint iterations, per-algorithm
-/// label); observation never changes the matrix or the reference. Use
-/// [`truth_vector_set`] when the packed representation is wanted too.
-pub fn truth_vector_matrix(
+/// Runs `base` on `view` and builds the packed truth-vector matrix: one
+/// row per attribute of the view (in `view.attributes()` order), one
+/// column per `(object, source)` pair (objects × sources of the parent
+/// dataset, lexicographic). The reference base run is recorded against
+/// `observer`; observation never changes the matrix or the reference.
+pub(crate) fn truth_bits(
     base: &dyn TruthDiscovery,
     view: &DatasetView<'_>,
     observer: &td_obs::Observer,
-) -> (Matrix, TruthResult) {
+) -> (BitMatrix, TruthResult) {
     let reference = base.discover_observed(view, observer);
-    let matrix = truth_vectors_from_result(view, &reference);
-    (matrix, reference)
+    let bits = truth_bits_from_result(view, &reference);
+    (bits, reference)
 }
 
-/// Like [`truth_vector_matrix`] but returns the dual-representation
-/// [`TruthVectors`] (dense + bit-packed, built in one pass) — what the
-/// TD-AC pipeline feeds the representation-aware distance kernel.
+/// The packed truth-vector matrix against an already-computed reference
+/// truth (Eq. 1 verbatim), in one scatter pass over the view's claims.
+pub(crate) fn truth_bits_from_result(view: &DatasetView<'_>, reference: &TruthResult) -> BitMatrix {
+    let dataset = view.dataset();
+    let n_cols = dataset.n_objects() * dataset.n_sources();
+    let mut bits = BitMatrix::zeros(view.attributes().len(), n_cols);
+    scatter(&mut bits, view, reference, |_| true);
+    bits
+}
+
+/// Runs `base` on `view` and returns the [`TruthVectors`] of its
+/// reference truth together with that reference (so callers can reuse
+/// it instead of re-running `F`). The reference base run is recorded
+/// against `observer`.
 pub fn truth_vector_set(
     base: &dyn TruthDiscovery,
     view: &DatasetView<'_>,
@@ -164,51 +140,18 @@ pub fn truth_vector_set(
     (vectors, reference)
 }
 
-/// Builds the truth-vector matrix against an already-computed reference
-/// truth (Eq. 1 verbatim; useful for testing and for oracle variants
-/// where the reference is the ground truth).
-pub fn truth_vectors_from_result(view: &DatasetView<'_>, reference: &TruthResult) -> Matrix {
-    truth_vector_set_from_result(view, reference).dense
-}
-
-/// Builds both representations of the truth vectors against an
-/// already-computed reference truth, scattering each matching claim into
-/// the dense matrix and the packed words in the same pass.
+/// The [`TruthVectors`] against an already-computed reference truth
+/// (useful for testing and for oracle variants where the reference is
+/// the ground truth): one packed scatter, then the dense copy unpacked
+/// from it.
 pub fn truth_vector_set_from_result(
     view: &DatasetView<'_>,
     reference: &TruthResult,
 ) -> TruthVectors {
-    let dataset = view.dataset();
-    let n_objects = dataset.n_objects();
-    let n_sources = dataset.n_sources();
-    let attrs = view.attributes();
-    let n_attrs = attrs.len();
-
-    // Row index per attribute id for O(1) scatter.
-    let mut row_of = vec![usize::MAX; dataset.n_attributes()];
-    for (r, a) in attrs.iter().enumerate() {
-        row_of[a.index()] = r;
-    }
-
-    let n_cols = n_objects * n_sources;
-    let mut m = Matrix::zeros(n_attrs, n_cols);
-    let mut bits = BitMatrix::zeros(n_attrs, n_cols);
-    for cell in view.cells() {
-        let Some(truth) = reference.prediction(cell.object, cell.attribute) else {
-            continue;
-        };
-        let row = row_of[cell.attribute.index()];
-        for claim in view.cell_claims(cell) {
-            if claim.value == truth {
-                let col = cell.object.index() * n_sources + claim.source.index();
-                m.set(row, col, 1.0);
-                bits.set_bit(row, col, true);
-            }
-        }
-    }
+    let packed = truth_bits_from_result(view, reference);
     TruthVectors {
-        dense: m,
-        packed: bits,
+        dense: packed.to_dense(),
+        packed,
     }
 }
 
@@ -248,18 +191,22 @@ mod tests {
         b.build()
     }
 
+    fn vectors(view: &DatasetView<'_>) -> (TruthVectors, TruthResult) {
+        truth_vector_set(&MajorityVote, view, &td_obs::Observer::disabled())
+    }
+
     #[test]
     fn matrix_shape_is_attrs_by_object_source_pairs() {
         let d = running_example();
-        let (m, _) = truth_vector_matrix(&MajorityVote, &d.view_all(), &td_obs::Observer::disabled());
-        assert_eq!(m.n_rows(), 3); // Q1..Q3
-        assert_eq!(m.n_cols(), 2 * 3); // 2 objects × 3 sources
+        let (tv, _) = vectors(&d.view_all());
+        assert_eq!(tv.packed.n_rows(), 3); // Q1..Q3
+        assert_eq!(tv.packed.n_cols(), 2 * 3); // 2 objects × 3 sources
     }
 
     #[test]
     fn entries_match_equation_one_with_majority_reference() {
         let d = running_example();
-        let (m, reference) = truth_vector_matrix(&MajorityVote, &d.view_all(), &td_obs::Observer::disabled());
+        let (tv, reference) = vectors(&d.view_all());
         // Majority on FB-Q1: Algeria (2 votes). s1 and s3 match.
         let fb = d.object_id("FB").unwrap();
         let q1 = d.attribute_id("Q1").unwrap();
@@ -269,11 +216,10 @@ mod tests {
         );
         let n_sources = d.n_sources();
         let s = |name: &str| d.source_id(name).unwrap().index();
-        let row_q1 = m.row(q1.index());
-        let col = |o: usize, src: usize| o * n_sources + src;
-        assert_eq!(row_q1[col(fb.index(), s("s1"))], 1.0);
-        assert_eq!(row_q1[col(fb.index(), s("s2"))], 0.0);
-        assert_eq!(row_q1[col(fb.index(), s("s3"))], 1.0);
+        let bit = |src: usize| tv.packed.get_bit(q1.index(), fb.index() * n_sources + src);
+        assert!(bit(s("s1")));
+        assert!(!bit(s("s2")));
+        assert!(bit(s("s3")));
     }
 
     #[test]
@@ -283,9 +229,9 @@ mod tests {
         b.claim("s2", "o", "a", Value::int(1)).unwrap();
         b.source("absent");
         let d = b.build();
-        let (m, _) = truth_vector_matrix(&MajorityVote, &d.view_all(), &td_obs::Observer::disabled());
+        let (tv, _) = vectors(&d.view_all());
         let absent = d.source_id("absent").unwrap();
-        assert_eq!(m.get(0, absent.index()), 0.0, "no claim ⇒ 0 (Eq. 1)");
+        assert!(!tv.packed.get_bit(0, absent.index()), "no claim ⇒ 0 (Eq. 1)");
     }
 
     #[test]
@@ -300,77 +246,50 @@ mod tests {
             }
         }
         let d = b.build();
-        let (m, _) = truth_vector_matrix(&MajorityVote, &d.view_all(), &td_obs::Observer::disabled());
-        assert_eq!(m.row(0), m.row(1));
+        let (tv, _) = vectors(&d.view_all());
+        assert_eq!(tv.packed.row_words(0), tv.packed.row_words(1));
     }
 
     #[test]
     fn view_restriction_shrinks_rows_not_columns() {
         let d = running_example();
         let q2 = d.attribute_id("Q2").unwrap();
-        let (m, _) = truth_vector_matrix(&MajorityVote, &d.view_of(&[q2]), &td_obs::Observer::disabled());
-        assert_eq!(m.n_rows(), 1);
-        assert_eq!(m.n_cols(), 6);
+        let (tv, _) = vectors(&d.view_of(&[q2]));
+        assert_eq!(tv.packed.n_rows(), 1);
+        assert_eq!(tv.packed.n_cols(), 6);
     }
 
     #[test]
-    fn dual_representations_agree_bit_for_bit() {
+    fn dense_copy_is_the_unpacked_bits() {
         let d = running_example();
-        let (tv, reference) =
-            truth_vector_set(&MajorityVote, &d.view_all(), &td_obs::Observer::disabled());
+        let (tv, reference) = vectors(&d.view_all());
         assert_eq!(tv.packed.to_dense(), tv.dense);
-        assert_eq!(tv.dense, truth_vectors_from_result(&d.view_all(), &reference));
-        assert_eq!(tv.rows().n_rows(), tv.dense.n_rows());
-        assert_eq!(tv.rows().n_cols(), tv.dense.n_cols());
+        assert_eq!(tv.packed, truth_bits_from_result(&d.view_all(), &reference));
+        assert!(matches!(tv.rows(), Rows::Packed(_)));
+        for v in tv.dense.as_slice() {
+            assert!(*v == 0.0 || *v == 1.0);
+        }
     }
 
     #[test]
     fn rescatter_matches_from_scratch_build() {
-        // Rebuild one attribute's row against a *different* reference
-        // (the ground-truth-free MajorityVote of a grown dataset) and
-        // check the maintained matrix equals the from-scratch scatter.
         let d = running_example();
         let view = d.view_all();
-        let (mut tv, reference) =
-            truth_vector_set(&MajorityVote, &view, &td_obs::Observer::disabled());
+        let (tv, reference) = vectors(&view);
+        let before = tv.packed;
+        let mut bits = before.clone();
 
         // Rescattering every attribute against the same reference is a
         // no-op bit-for-bit.
         let all: Vec<_> = d.attribute_ids().collect();
-        let before = tv.clone();
-        rescatter_rows(&mut tv, &view, &reference, &all);
-        assert_eq!(tv.dense, before.dense);
-        assert_eq!(tv.packed.to_dense(), before.packed.to_dense());
+        rescatter_rows(&mut bits, &view, &reference, &all);
+        assert_eq!(bits, before);
 
         // Corrupt one row, then rescatter only that attribute: the row
         // comes back, the others were never touched.
         let q2 = d.attribute_id("Q2").unwrap();
-        tv.dense.set(q2.index(), 0, 0.5);
-        tv.packed.set_bit(q2.index(), 0, true);
-        rescatter_rows(&mut tv, &view, &reference, &[q2]);
-        assert_eq!(tv.dense, before.dense);
-        assert_eq!(tv.packed.to_dense(), before.packed.to_dense());
-    }
-
-    #[test]
-    fn append_keeps_representations_in_lockstep() {
-        let d = running_example();
-        let (mut tv, _) =
-            truth_vector_set(&MajorityVote, &d.view_all(), &td_obs::Observer::disabled());
-        let (rows, cols) = (tv.dense.n_rows(), tv.dense.n_cols());
-        tv.append_attribute_rows(2);
-        tv.append_pair_cols(67); // crosses a word boundary in the packed side
-        assert_eq!(tv.dense.n_rows(), rows + 2);
-        assert_eq!(tv.dense.n_cols(), cols + 67);
-        assert_eq!(tv.packed.to_dense(), tv.dense);
-    }
-
-    #[test]
-    fn values_are_binary() {
-        let d = running_example();
-        let (m, _) = truth_vector_matrix(&MajorityVote, &d.view_all(), &td_obs::Observer::disabled());
-        for v in m.as_slice() {
-            assert!(*v == 0.0 || *v == 1.0);
-        }
+        bits.set_bit(q2.index(), 0, !bits.get_bit(q2.index(), 0));
+        rescatter_rows(&mut bits, &view, &reference, &[q2]);
+        assert_eq!(bits, before);
     }
 }

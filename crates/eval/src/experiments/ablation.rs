@@ -111,11 +111,13 @@ pub fn run(scale: Scale) -> AblationExperiment {
     // elbow method — pick k from the inertia curve, then run TD-AC with
     // that k fixed.
     let elbow_variant = {
-        let (matrix, _) = tdac_core::truth_vector_matrix(
+        let matrix = tdac_core::truth_vector_set(
             &base,
             &data.dataset.view_all(),
             &tdac_core::Observer::disabled(),
-        );
+        )
+        .0
+        .dense;
         let hi = matrix.n_rows().saturating_sub(1).max(2);
         let elbow =
             clustering::select_k_elbow(&matrix, 2..=hi, clustering::KMeansConfig::with_k(0))

@@ -458,8 +458,7 @@ pub struct CounterValue {
 /// Serializable snapshot of an observer's aggregates.
 ///
 /// Attached to pipeline outcomes (`TdacOutcome::profile`,
-/// `AccuGenOutcome::profile`) as the *delta* recorded during that run,
-/// and embedded in `BENCH_tdac.json` by `scripts/bench.sh --profile`.
+/// `AccuGenOutcome::profile`) as the *delta* recorded during that run.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct RunProfile {
     /// Phase aggregates sorted by path.

@@ -8,9 +8,10 @@
 //!
 //! 1. **Raw matrices and fits** — [`check_kernel_parity`] builds the
 //!    truth vectors of a real dataset and compares the full pairwise
-//!    matrix under [`KernelPolicy::Dense`] vs [`KernelPolicy::Packed`]
-//!    (and the masked variant) with `to_bits` equality, no epsilon, plus
-//!    one k-means fit of those vectors under each policy.
+//!    matrix under a given metric with [`KernelPolicy::Dense`] vs
+//!    [`KernelPolicy::Packed`] (and the masked variant) with `to_bits`
+//!    equality, no epsilon, plus one k-means fit of those vectors under
+//!    each policy.
 //! 2. **Non-vacuity** — the packed run must actually have taken the
 //!    packed paths (`packed_kernel_invocations` / `words_xored` /
 //!    `kmeans_packed_fits` counters fire) and the dense run must not,
@@ -21,7 +22,8 @@
 //!    for the committed DS1 golden table.
 
 use clustering::{
-    pairwise_distances, DistanceOptions, KMeans, KMeansConfig, KMeansResult, KernelPolicy,
+    pairwise_distances, BitMatrix, DistanceOptions, KMeans, KMeansConfig, KMeansResult,
+    KernelPolicy, Metric,
 };
 use td_algorithms::TruthDiscovery;
 use td_model::Dataset;
@@ -48,101 +50,103 @@ fn assert_same_matrix(got: &[f64], want: &[f64], n: usize, context: &str) {
     }
 }
 
-/// Distance matrix of `base`'s truth vectors on `dataset` under a pinned
-/// kernel, the sweep's k-means fit of those vectors at `k = 2` (when
-/// there are two attributes to split), and the profile of both.
-fn kernels_under(
-    base: &dyn TruthDiscovery,
-    dataset: &Dataset,
-    kernel: KernelPolicy,
-) -> (Vec<f64>, Option<KMeansResult>, tdac_core::RunProfile) {
-    let observer = Observer::enabled();
+/// The packed truth vectors of `base` on `dataset`, plus two all-zero
+/// rows: truth vectors of a real dataset never have one, and they reach
+/// cosine's zero-vector branches.
+fn truth_rows(base: &dyn TruthDiscovery, dataset: &Dataset) -> BitMatrix {
     let (vectors, _) = truth_vector_set(base, &dataset.view_all(), &Observer::disabled());
+    let mut bits = vectors.packed;
+    bits.append_zero_rows(2);
+    bits
+}
+
+/// Distance matrix of `rows` under `metric` and a pinned kernel, the
+/// sweep's k-means fit of those rows at `k = 2`, and the profile of
+/// both.
+fn kernels_under(
+    rows: &BitMatrix,
+    metric: &dyn Metric,
+    kernel: KernelPolicy,
+) -> (Vec<f64>, KMeansResult, tdac_core::RunProfile) {
+    let observer = Observer::enabled();
     let opts = DistanceOptions::builder()
         .kernel(kernel)
         .observer(observer.clone())
         .build();
     let config = TdacConfig::default();
-    let dist = opts.pairwise(vectors.rows(), config.metric.as_metric());
-    let fit = (vectors.dense.n_rows() >= 2).then(|| {
-        let km = KMeansConfig {
-            n_init: config.n_init,
-            seed: config.seed,
-            ..KMeansConfig::with_k(2)
-        };
-        KMeans::new(km)
-            .fit_observed(vectors.rows(), &opts)
-            .expect("two truth vectors admit k = 2")
-    });
+    let dist = opts.pairwise(rows, metric);
+    let km = KMeansConfig {
+        n_init: config.n_init,
+        seed: config.seed,
+        ..KMeansConfig::with_k(2)
+    };
+    let fit = KMeans::new(km)
+        .fit_observed(rows, &opts)
+        .expect("two or more rows admit k = 2");
     let profile = observer.profile().expect("enabled observer yields a profile");
     (dist, fit, profile)
 }
 
-/// Layer 1 + 2: raw matrix and k-means parity with non-vacuity, for
-/// both the plain Eq. 1 truth vectors and the masked (missing-aware)
-/// variant (which clusters with PAM, so it has no k-means fit).
+/// Layer 1 + 2: raw matrix (under `metric`) and k-means parity with
+/// non-vacuity, for both the plain Eq. 1 truth vectors and the masked
+/// (missing-aware) variant (which clusters with PAM, so it has no
+/// k-means fit).
 ///
 /// Panics with the first diverging matrix entry or fit field, or a
 /// vacuity failure.
-pub fn check_kernel_parity(base: &dyn TruthDiscovery, dataset: &Dataset) {
+pub fn check_kernel_parity(base: &dyn TruthDiscovery, dataset: &Dataset, metric: &dyn Metric) {
     // Plain truth vectors.
-    let (dense, dense_fit, dense_profile) = kernels_under(base, dataset, KernelPolicy::Dense);
-    let (packed, packed_fit, packed_profile) = kernels_under(base, dataset, KernelPolicy::Packed);
-    let (auto, auto_fit, _) = kernels_under(base, dataset, KernelPolicy::Auto);
-    let n = dataset.n_attributes();
-    assert_same_matrix(&packed, &dense, n, "packed vs dense pairwise Hamming");
-    assert_same_matrix(&auto, &dense, n, "auto vs dense pairwise Hamming");
-    if let (Some(dense_fit), Some(packed_fit), Some(auto_fit)) =
-        (&dense_fit, &packed_fit, &auto_fit)
-    {
-        if let Some(diff) = diff_fits(packed_fit, dense_fit) {
-            panic!("packed vs dense k-means: {diff}");
-        }
-        if let Some(diff) = diff_fits(auto_fit, dense_fit) {
-            panic!("auto vs dense k-means: {diff}");
-        }
+    let rows = truth_rows(base, dataset);
+    let (dense, dense_fit, dense_profile) = kernels_under(&rows, metric, KernelPolicy::Dense);
+    let (packed, packed_fit, packed_profile) = kernels_under(&rows, metric, KernelPolicy::Packed);
+    let (auto, auto_fit, _) = kernels_under(&rows, metric, KernelPolicy::Auto);
+    let n = rows.n_rows();
+    let name = metric.name();
+    assert_same_matrix(&packed, &dense, n, &format!("packed vs dense pairwise {name}"));
+    assert_same_matrix(&auto, &dense, n, &format!("auto vs dense pairwise {name}"));
+    if let Some(diff) = diff_fits(&packed_fit, &dense_fit) {
+        panic!("packed vs dense k-means: {diff}");
+    }
+    if let Some(diff) = diff_fits(&auto_fit, &dense_fit) {
+        panic!("auto vs dense k-means: {diff}");
     }
 
     // Non-vacuity: the two runs must have taken different code paths.
     assert_eq!(
         dense_profile.counter("packed_kernel_invocations"),
         Some(0),
-        "KernelPolicy::Dense leaked into the packed kernel"
+        "KernelPolicy::Dense leaked into the packed kernel ({name})"
     );
     assert_eq!(
         dense_profile.counter("kmeans_packed_fits"),
         Some(0),
         "KernelPolicy::Dense leaked into the packed k-means path"
     );
-    if n >= 2 {
-        assert!(
-            packed_profile.counter("kmeans_packed_fits").unwrap_or(0) > 0,
-            "KernelPolicy::Packed never reached the packed k-means path — parity is vacuous"
-        );
-        assert!(
-            packed_profile.counter("packed_kernel_invocations").unwrap_or(0) > 0,
-            "KernelPolicy::Packed never reached the packed kernel — parity is vacuous"
-        );
-        assert!(
-            packed_profile.counter("words_xored").unwrap_or(0) > 0,
-            "packed kernel reported no XORed words"
-        );
-        // Both paths must report identical logical work (Eq. 2 pair count).
-        assert_eq!(
-            packed_profile.counter("distance_evals"),
-            dense_profile.counter("distance_evals"),
-            "packed and dense runs disagree on the number of distance evaluations"
-        );
-    }
+    assert!(
+        packed_profile.counter("kmeans_packed_fits").unwrap_or(0) > 0,
+        "KernelPolicy::Packed never reached the packed k-means path — parity is vacuous"
+    );
+    assert!(
+        packed_profile.counter("packed_kernel_invocations").unwrap_or(0) > 0,
+        "KernelPolicy::Packed never reached the packed kernel ({name}) — parity is vacuous"
+    );
+    assert!(
+        packed_profile.counter("words_xored").unwrap_or(0) > 0,
+        "packed kernel reported no XORed words"
+    );
+    // Both paths must report identical logical work (Eq. 2 pair count).
+    assert_eq!(
+        packed_profile.counter("distance_evals"),
+        dense_profile.counter("distance_evals"),
+        "packed and dense runs disagree on the number of distance evaluations"
+    );
 
     // The one-argument convenience entry point is the Auto path.
-    let (vectors, _) = truth_vector_set(base, &dataset.view_all(), &Observer::disabled());
-    let config = TdacConfig::default();
-    let convenience =
-        pairwise_distances(vectors.rows(), config.metric.as_metric(), &Observer::disabled());
+    let convenience = pairwise_distances(&rows, metric, &Observer::disabled());
     assert_same_matrix(&convenience, &dense, n, "pairwise_distances() vs dense");
 
     // Masked (missing-aware) truth vectors.
+    let n = dataset.n_attributes();
     let masked_under = |kernel| {
         let observer = Observer::enabled();
         let (masked, _) = MaskedTruthVectors::build(base, &dataset.view_all(), &Observer::disabled());

@@ -11,7 +11,7 @@ use td_algorithms::{MajorityVote, TruthDiscovery};
 use td_metrics::evaluate_fn;
 use td_model::{Dataset, GroundTruth};
 use tdac_core::{
-    accugen::run_partition, truth_vector_matrix, AccuGenPartition, Observer, Parallelism, Tdac,
+    accugen::run_partition, truth_vector_set, AccuGenPartition, Observer, Parallelism, Tdac,
     TdacConfig,
     TdacOutcome, Weighting,
 };
@@ -302,7 +302,7 @@ pub fn check_cached_sweep(base: &(dyn TruthDiscovery + Sync), dataset: &Dataset)
         !outcome.k_scores.is_empty(),
         "dataset too small for a k-sweep; use ≥ 3 attributes"
     );
-    let (matrix, _) = truth_vector_matrix(base, &dataset.view_all(), &Observer::disabled());
+    let matrix = truth_vector_set(base, &dataset.view_all(), &Observer::disabled()).0.dense;
     let n = dataset.n_attributes();
     for &(k, cached) in &outcome.k_scores {
         let assignments = KMeans::new(KMeansConfig {

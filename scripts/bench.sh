@@ -7,11 +7,7 @@
 # TDAC_BENCH_JSON is set; this script collects those lines into a single
 # JSON object keyed by "group/name" with the median ns per iteration.
 #
-# Usage: scripts/bench.sh [--profile] [--no-shard] [extra cargo bench args...]
-#   --profile                also run the observer-instrumented DS1
-#                            pipeline (crates/bench/src/bin/tdac_profile)
-#                            and fold its per-phase wall times + counter
-#                            deltas into BENCH_tdac.json under "profile"
+# Usage: scripts/bench.sh [--no-shard] [extra cargo bench args...]
 #   --no-shard               skip the multi-process shard-scaling sweep
 #                            (crates/bench/src/bin/shard_scaling; folded
 #                            under "shard_scaling" with the host's core
@@ -26,41 +22,33 @@ set -euo pipefail
 repo_root="$(cd "$(dirname "$0")/.." && pwd)"
 cd "$repo_root"
 
-profile=0
 shard=1
-while [[ "${1:-}" == "--profile" || "${1:-}" == "--no-shard" ]]; do
-    if [[ "$1" == "--profile" ]]; then profile=1; else shard=0; fi
+while [[ "${1:-}" == "--no-shard" ]]; do
+    shard=0
     shift
 done
 
 tmp="$repo_root/.bench_lines.bench.tmp.json"
-profile_tmp="$repo_root/.bench_profile.bench.tmp.json"
 shard_tmp="$repo_root/.bench_shard.bench.tmp.json"
 out="$repo_root/BENCH_tdac.json"
-rm -f "$tmp" "$profile_tmp" "$shard_tmp"
+rm -f "$tmp" "$shard_tmp"
 
 for bench in tdac_pipeline clustering partitioning store serve; do
     echo "== cargo bench --bench $bench =="
     TDAC_BENCH_JSON="$tmp" cargo bench --offline -p tdac-bench --bench "$bench" "$@"
 done
 
-if [[ "$profile" == 1 ]]; then
-    echo "== cargo run --bin tdac_profile (observer-instrumented DS1) =="
-    cargo run --offline --release -q -p tdac-bench --bin tdac_profile > "$profile_tmp"
-fi
-
 if [[ "$shard" == 1 ]]; then
     echo "== cargo run --bin shard_scaling (multi-process sweep, 1/2/4/8 workers) =="
     cargo run --offline --release -q -p tdac-bench --bin shard_scaling > "$shard_tmp"
 fi
 
-# Fold the JSON lines into one object: {"id": median_ns, ...}; with
-# --profile, attach the tdac_profile document under "profile"; the
+# Fold the JSON lines into one object: {"id": median_ns, ...}; the
 # shard sweep document lands under "shard_scaling".
-python3 - "$tmp" "$out" "$profile_tmp" "$shard_tmp" <<'PY'
+python3 - "$tmp" "$out" "$shard_tmp" <<'PY'
 import json, os, sys
 
-lines_path, out_path, profile_path, shard_path = sys.argv[1:5]
+lines_path, out_path, shard_path = sys.argv[1:4]
 benches = {}
 with open(lines_path) as f:
     for line in f:
@@ -143,10 +131,6 @@ for bench_id, rec in benches.items():
 if serve:
     doc["serve_throughput"] = serve
 
-if os.path.exists(profile_path):
-    with open(profile_path) as f:
-        doc["profile"] = json.load(f)
-
 # The shard_scaling bin emits one self-describing document: observation
 # count, host core count, per-worker-count wall ms and speedup vs the
 # single-process run. Speedup is bounded by physical cores — the
@@ -165,7 +149,7 @@ if os.path.exists(shard_path):
 with open(out_path, "w") as f:
     json.dump(doc, f, indent=2, sort_keys=True)
     f.write("\n")
-extra = " + profile" if "profile" in doc else ""
+extra = ""
 if speedups:
     extra += "; packed-kernel speedups: " + ", ".join(
         f"{k} {v}x" for k, v in sorted(speedups.items())
@@ -194,4 +178,4 @@ if shard:
     )
 print(f"wrote {out_path} ({len(benches)} benches{extra})")
 PY
-rm -f "$tmp" "$profile_tmp" "$shard_tmp"
+rm -f "$tmp" "$shard_tmp"

@@ -22,6 +22,12 @@ cargo test --offline -q --workspace
 echo "== benches compile (cargo test skips bench targets) =="
 cargo bench --offline --no-run -p tdac-bench
 
+echo "== perfbench self-test: every workload at smoke size, traced and untraced =="
+# perfbench is a workspace of its own, so `--workspace` never builds it;
+# this catches a break in the public calls it makes before a benchmark
+# run does.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml --target-dir target/perfbench
+
 echo "== observer determinism: profiles on vs off, all thread counts =="
 cargo test --offline -q -p td-verify --test observer
 
