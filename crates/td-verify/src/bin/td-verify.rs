@@ -1,9 +1,10 @@
 //! Golden snapshot driver.
 //!
-//! * `td-verify` — recompute the DS1 table and the DS1 binary store and
-//!   check both against the committed snapshots (exit 1 on divergence).
-//! * `td-verify --bless` — regenerate both snapshots in place; review
-//!   and commit the diff.
+//! * `td-verify` — recompute the DS1 table, the DS1 binary store and
+//!   the base-run fingerprints and check them against the committed
+//!   snapshots (exit 1 on divergence).
+//! * `td-verify --bless` — regenerate all three snapshots in place;
+//!   review and commit the diff.
 //! * `td-verify worker` — run as a td-shard worker process (reads one
 //!   shard-job line on stdin). Exists so the shard oracle tests can
 //!   spawn real worker processes out of the test binary's own
@@ -37,16 +38,31 @@ fn main() -> ExitCode {
                     ok = false;
                 }
             }
+            match td_verify::check_base_runs() {
+                Ok(()) => println!(
+                    "base-run golden check passed: {}",
+                    td_verify::base_runs::base_runs_path().display()
+                ),
+                Err(diff) => {
+                    eprintln!("{diff}");
+                    ok = false;
+                }
+            }
             if ok {
                 ExitCode::SUCCESS
             } else {
                 ExitCode::FAILURE
             }
         }
-        ["--bless"] => match td_verify::bless_ds1().and_then(|p| {
-            println!("blessed {}", p.display());
-            td_verify::bless_ds1_store()
-        }) {
+        ["--bless"] => match td_verify::bless_ds1()
+            .and_then(|p| {
+                println!("blessed {}", p.display());
+                td_verify::bless_ds1_store()
+            })
+            .and_then(|p| {
+                println!("blessed {}", p.display());
+                td_verify::bless_base_runs()
+            }) {
             Ok(path) => {
                 println!("blessed {}", path.display());
                 ExitCode::SUCCESS

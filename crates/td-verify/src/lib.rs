@@ -19,10 +19,11 @@
 //!    of `clustering` / `td-metrics`) — properties that must hold under
 //!    input transformations: relabeling sources/objects, shuffling claim
 //!    order, duplicating claims, removing claims (DCR monotonicity).
-//! 3. **Paper-conformance goldens** ([`golden`], [`store`]) — committed
-//!    DS1 preset tables plus a committed `.tds` binary store, both
-//!    checked bit-exactly by tier-1 and regenerable only through the
-//!    explicit `--bless` flow. The store golden additionally gates the
+//! 3. **Paper-conformance goldens** ([`golden`], [`store`],
+//!    [`base_runs`]) — committed DS1 preset tables, a committed `.tds`
+//!    binary store and every algorithm's base-run fingerprints on six
+//!    worlds, all checked bit-exactly by tier-1 and regenerable only
+//!    through the explicit `--bless` flow. The store golden additionally gates the
 //!    hostile-input contract of the `.tds` decoder (`tests/store.rs`:
 //!    corruption matrix, fuzzing, round-trip properties).
 //! 4. **Chaos oracles** ([`chaos`], `tests/chaos.rs`) — faults (panics,
@@ -35,6 +36,7 @@
 //! partitions per sweep) sit behind the `expensive-oracles` feature so
 //! the default test run stays fast; `scripts/verify.sh` turns them on.
 
+pub mod base_runs;
 pub mod chaos;
 pub mod fingerprint;
 pub mod golden;
@@ -44,6 +46,7 @@ pub mod oracle;
 pub mod store;
 pub mod worlds;
 
+pub use base_runs::{bless_base_runs, check_base_runs, compute_base_runs, BaseRunsGolden};
 pub use chaos::ChaosHook;
 pub use fingerprint::{assert_bit_identical, OutcomeFingerprint, ResultFingerprint};
 pub use golden::{bless_ds1, check_ds1, compute_ds1, Ds1Golden};

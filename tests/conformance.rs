@@ -1,5 +1,5 @@
-//! Paper-conformance gate: the committed DS1 golden snapshot must match
-//! a fresh recomputation bit-for-bit.
+//! Paper-conformance gate: the committed DS1 golden snapshots and the
+//! base-run fingerprints must match a fresh recomputation bit-for-bit.
 //!
 //! This runs in the default `cargo test -q` (tier-1), so any change that
 //! silently moves a result — an algorithm tweak, a generator change, a
@@ -21,6 +21,13 @@ fn ds1_results_match_the_committed_golden() {
 #[test]
 fn ds1_store_matches_the_committed_golden() {
     if let Err(diff) = td_verify::check_ds1_store() {
+        panic!("{diff}");
+    }
+}
+
+#[test]
+fn base_runs_match_the_committed_golden() {
+    if let Err(diff) = td_verify::check_base_runs() {
         panic!("{diff}");
     }
 }
