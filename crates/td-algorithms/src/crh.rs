@@ -66,25 +66,20 @@ impl TruthDiscovery for Crh {
 
         // Numeric payload per candidate (None ⇒ treat categorically) and
         // per-cell loss normalizer.
-        let numeric: Vec<Vec<Option<f64>>> = ws
-            .cells
+        // `numeric` is parallel to the workspace's candidates.
+        let numeric: Vec<Option<f64>> = ws
+            .values
             .iter()
-            .map(|cell| {
-                cell.values
-                    .iter()
-                    .map(|&v| match view.value(v) {
-                        Value::Int(x) => Some(*x as f64),
-                        Value::Float(x) => Some(*x),
-                        _ => None,
-                    })
-                    .collect()
+            .map(|&v| match view.value(v) {
+                Value::Int(x) => Some(*x as f64),
+                Value::Float(x) => Some(*x),
+                _ => None,
             })
             .collect();
         let spread: Vec<f64> = ws
-            .cells
-            .iter()
-            .zip(&numeric)
-            .map(|(_, nums)| {
+            .cells()
+            .map(|cell| {
+                let nums = &numeric[cell.cand_base..cell.cand_base + cell.k()];
                 let vals: Vec<f64> = nums.iter().filter_map(|&x| x).collect();
                 if vals.len() < 2 {
                     return 1.0;
@@ -96,26 +91,27 @@ impl TruthDiscovery for Crh {
             .collect();
 
         let mut weights = vec![1.0f64; n];
-        let mut pred: Vec<usize> = vec![0; ws.cells.len()];
+        let mut pred: Vec<usize> = vec![0; ws.n_cells()];
         let mut iterations = 0u32;
 
         loop {
             iterations += 1;
 
             // ---- truth update ---------------------------------------
-            for (ci, cell) in ws.cells.iter().enumerate() {
+            for (ci, cell) in ws.cells().enumerate() {
                 let k = cell.k();
-                let all_numeric = numeric[ci].iter().all(Option::is_some) && k > 1;
+                let nums = &numeric[cell.cand_base..cell.cand_base + k];
+                let all_numeric = nums.iter().all(Option::is_some) && k > 1;
                 if all_numeric {
                     // Weighted median over claims (each claim carries its
                     // source's weight); evaluated at candidate values.
                     let mut pts: Vec<(f64, f64)> = cell
                         .claim_sources
                         .iter()
-                        .zip(&cell.claim_cand)
+                        .zip(cell.claim_cand)
                         .map(|(s, &c)| {
                             (
-                                numeric[ci][c as usize].expect("all numeric"),
+                                nums[c as usize].expect("all numeric"),
                                 weights[s.index()].max(1e-12),
                             )
                         })
@@ -135,8 +131,8 @@ impl TruthDiscovery for Crh {
                     // the answer must be a claimed value).
                     pred[ci] = (0..k)
                         .min_by(|&a, &b| {
-                            let da = (numeric[ci][a].expect("numeric") - median).abs();
-                            let db = (numeric[ci][b].expect("numeric") - median).abs();
+                            let da = (nums[a].expect("numeric") - median).abs();
+                            let db = (nums[b].expect("numeric") - median).abs();
                             da.partial_cmp(&db)
                                 .expect("finite")
                                 .then(cell.values[a].cmp(&cell.values[b]))
@@ -145,7 +141,7 @@ impl TruthDiscovery for Crh {
                 } else {
                     // Weighted vote.
                     let mut scores = vec![0.0f64; k];
-                    for (s, &c) in cell.claim_sources.iter().zip(&cell.claim_cand) {
+                    for (s, &c) in cell.claim_sources.iter().zip(cell.claim_cand) {
                         scores[c as usize] += weights[s.index()];
                     }
                     pred[ci] = (0..k)
@@ -161,11 +157,11 @@ impl TruthDiscovery for Crh {
 
             // ---- weight update --------------------------------------
             let mut loss = vec![0.0f64; n];
-            for (ci, cell) in ws.cells.iter().enumerate() {
+            for (ci, cell) in ws.cells().enumerate() {
                 let t = pred[ci];
-                for (s, &c) in cell.claim_sources.iter().zip(&cell.claim_cand) {
+                for (s, &c) in cell.claim_sources.iter().zip(cell.claim_cand) {
                     let c = c as usize;
-                    let l = match (numeric[ci][c], numeric[ci][t]) {
+                    let l = match (numeric[cell.cand_base + c], numeric[cell.cand_base + t]) {
                         (Some(x), Some(truth)) => ((x - truth).abs() / spread[ci]).min(1.0),
                         _ => f64::from(c != t),
                     };
@@ -197,12 +193,12 @@ impl TruthDiscovery for Crh {
             }
         }
 
-        for (ci, cell) in ws.cells.iter().enumerate() {
+        for (ci, cell) in ws.cells().enumerate() {
             let t = pred[ci];
             // Confidence: weighted support share of the chosen value.
             let mut chosen = 0.0;
             let mut total = 0.0;
-            for (s, &c) in cell.claim_sources.iter().zip(&cell.claim_cand) {
+            for (s, &c) in cell.claim_sources.iter().zip(cell.claim_cand) {
                 let w = weights[s.index()];
                 total += w;
                 if c as usize == t {

@@ -20,7 +20,7 @@ use std::collections::HashMap;
 
 use td_model::{AttributeId, DatasetView};
 
-use crate::common::{clamp_unit, max_abs_diff, Workspace};
+use crate::common::{clamp_unit, effective_n_false, max_abs_diff, softmax, Workspace};
 use crate::result::TruthResult;
 use crate::traits::TruthDiscovery;
 
@@ -29,7 +29,9 @@ use crate::traits::TruthDiscovery;
 pub struct DartConfig {
     /// Initial per-(source, domain) expertise.
     pub initial_expertise: f64,
-    /// Assumed number of false values per cell (as in Accu).
+    /// Assumed number of false values per cell (as in Accu). The engine
+    /// clamps it into `[1, 10¹²]` and counts NaN as 1, so the vote weight
+    /// stays finite.
     pub n_false: f64,
     /// Convergence threshold on the max expertise change.
     pub tolerance: f64,
@@ -99,14 +101,16 @@ impl TruthDiscovery for Dart {
         let n = ws.n_sources;
         let n_domains = self.n_domains.max(1);
         let cfg = &self.config;
+        let n_false = effective_n_false(cfg.n_false);
         const EPS: f64 = 1e-6;
 
         let mut result = TruthResult::with_sources(n, cfg.initial_expertise);
         // expertise[s * n_domains + d]
         let mut expertise = vec![cfg.initial_expertise; n * n_domains];
+        let mut tau = vec![0.0f64; n * n_domains];
         let mut scores: Vec<f64> = Vec::new();
-        let mut pred = vec![0usize; ws.cells.len()];
-        let mut confidence = vec![0.0f64; ws.cells.len()];
+        let mut pred = vec![0usize; ws.n_cells()];
+        let mut confidence = vec![0.0f64; ws.n_cells()];
 
         let mut iterations = 0u32;
         loop {
@@ -115,27 +119,24 @@ impl TruthDiscovery for Dart {
             // Per-(source, domain) posterior accumulators.
             let mut sums = vec![0.0f64; n * n_domains];
             let mut counts = vec![0u32; n * n_domains];
+            // The vote weight depends on (source, domain) only.
+            for (t, &e) in tau.iter_mut().zip(&expertise) {
+                let a = clamp_unit(e, EPS);
+                *t = (n_false * a / (1.0 - a)).ln();
+            }
 
-            for (ci, cell) in ws.cells.iter().enumerate() {
+            for (ci, cell) in ws.cells().enumerate() {
                 let d = self.domain(cell.attribute);
                 let k = cell.k();
                 scores.clear();
                 scores.resize(k, 0.0);
                 for (ic, &src) in cell.claim_sources.iter().enumerate() {
-                    let a = clamp_unit(expertise[src.index() * n_domains + d], EPS);
-                    let tau = (cfg.n_false * a / (1.0 - a)).ln();
-                    scores[cell.claim_cand[ic] as usize] += tau;
+                    scores[cell.claim_cand[ic] as usize] += tau[src.index() * n_domains + d];
                 }
                 // Softmax to a posterior.
-                let max = scores.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-                let mut z = 0.0;
-                for s in scores.iter_mut() {
-                    *s = (*s - max).exp();
-                    z += *s;
-                }
+                softmax(&mut scores);
                 let mut best = 0usize;
                 for i in 0..k {
-                    scores[i] /= z;
                     if scores[i] > scores[best]
                         || (scores[i] == scores[best] && cell.values[i] < cell.values[best])
                     {
@@ -164,7 +165,7 @@ impl TruthDiscovery for Dart {
             }
         }
 
-        for (ci, cell) in ws.cells.iter().enumerate() {
+        for (ci, cell) in ws.cells().enumerate() {
             result.set_prediction(
                 cell.object,
                 cell.attribute,
@@ -273,6 +274,42 @@ mod tests {
         assert!(r1.iterations <= DartConfig::default().max_iterations);
         for &t in &r1.source_trust {
             assert!((0.0..=1.0).contains(&t));
+        }
+    }
+
+    #[test]
+    fn degenerate_n_false_behaves_as_its_clamped_value() {
+        // Non-finite or sub-1 `n_false` used to make every confidence NaN.
+        let (d, domains) = two_domain_dataset();
+        let run = |n_false| {
+            let r = Dart::with_domains(&domains)
+                .with_config(DartConfig {
+                    n_false,
+                    ..DartConfig::default()
+                })
+                .discover(&d.view_all());
+            let mut cells: Vec<_> = r
+                .iter()
+                .map(|(o, a, v, c)| (o, a, v, c.to_bits()))
+                .collect();
+            cells.sort_unstable_by_key(|&(o, a, _, _)| (o, a));
+            let trust: Vec<u64> = r.source_trust.iter().map(|t| t.to_bits()).collect();
+            (cells, trust, r.iterations)
+        };
+        let at_one = run(1.0);
+        let at_cap = run(crate::common::N_FALSE_CAP);
+        for (n_false, want) in [
+            (0.0, &at_one),
+            (-1.0, &at_one),
+            (f64::NAN, &at_one),
+            (f64::INFINITY, &at_cap),
+        ] {
+            let got = run(n_false);
+            assert!(got
+                .0
+                .iter()
+                .all(|c| (0.0..=1.0).contains(&f64::from_bits(c.3))));
+            assert_eq!(&got, want, "n_false {n_false}");
         }
     }
 

@@ -122,25 +122,16 @@ fn run(view: &DatasetView<'_>, cfg: &EstimatesConfig, third: bool) -> TruthResul
     let n = ws.n_sources;
     let mut result = TruthResult::with_sources(n, cfg.initial_trust);
 
-    // Fact layout: per cell, one fact per candidate.
-    let offsets: Vec<usize> = {
-        let mut o = Vec::with_capacity(ws.cells.len() + 1);
-        let mut acc = 0;
-        o.push(0);
-        for c in &ws.cells {
-            acc += c.k();
-            o.push(acc);
-        }
-        o
-    };
-    let n_facts = *offsets.last().unwrap_or(&0);
+    // Fact layout: one fact per candidate, in the workspace's candidate
+    // order.
+    let n_facts = ws.n_candidates();
 
     let mut trust = vec![cfg.initial_trust; n];
     let mut rho = vec![0.5f64; n_facts]; // fact truth
     let mut eps = vec![cfg.initial_difficulty; n_facts]; // 3-Est difficulty
     let mut votes_per_source = vec![0u64; n];
-    for cell in &ws.cells {
-        for src in &cell.claim_sources {
+    for cell in ws.cells() {
+        for src in cell.claim_sources {
             // each claim votes on every candidate of the cell
             votes_per_source[src.index()] += cell.k() as u64;
         }
@@ -154,8 +145,8 @@ fn run(view: &DatasetView<'_>, cfg: &EstimatesConfig, third: bool) -> TruthResul
         // ---- fact truth ρ(f) ------------------------------------------
         let mut num = vec![0.0f64; n_facts];
         let mut den = vec![0u64; n_facts];
-        for (ci, cell) in ws.cells.iter().enumerate() {
-            let base = offsets[ci];
+        for cell in ws.cells() {
+            let base = cell.cand_base;
             for (ic, &src) in cell.claim_sources.iter().enumerate() {
                 let s = src.index();
                 let t = clamp(trust[s]);
@@ -193,8 +184,8 @@ fn run(view: &DatasetView<'_>, cfg: &EstimatesConfig, third: bool) -> TruthResul
         if third {
             let mut enum_ = vec![0.0f64; n_facts];
             let mut eden = vec![0u64; n_facts];
-            for (ci, cell) in ws.cells.iter().enumerate() {
-                let base = offsets[ci];
+            for cell in ws.cells() {
+                let base = cell.cand_base;
                 for (ic, &src) in cell.claim_sources.iter().enumerate() {
                     let s = src.index();
                     let err_s = clamp(1.0 - trust[s]);
@@ -228,8 +219,8 @@ fn run(view: &DatasetView<'_>, cfg: &EstimatesConfig, third: bool) -> TruthResul
 
         // ---- source trust θ(s) -----------------------------------------
         let mut tnum = vec![0.0f64; n];
-        for (ci, cell) in ws.cells.iter().enumerate() {
-            let base = offsets[ci];
+        for cell in ws.cells() {
+            let base = cell.cand_base;
             for (ic, &src) in cell.claim_sources.iter().enumerate() {
                 let s = src.index();
                 let claimed = cell.claim_cand[ic] as usize;
@@ -268,8 +259,8 @@ fn run(view: &DatasetView<'_>, cfg: &EstimatesConfig, third: bool) -> TruthResul
     }
 
     // Predictions: per cell argmax ρ.
-    for (ci, cell) in ws.cells.iter().enumerate() {
-        let base = offsets[ci];
+    for cell in ws.cells() {
+        let base = cell.cand_base;
         let k = cell.k();
         if k == 0 {
             continue;

@@ -122,18 +122,8 @@ fn run(view: &DatasetView<'_>, cfg: &FixpointConfig, variant: Variant) -> TruthR
     let mut trust = vec![cfg.initial_trust; n];
     let mut result = TruthResult::with_sources(n, cfg.initial_trust);
 
-    // Belief per (cell, candidate), flattened.
-    let offsets: Vec<usize> = {
-        let mut o = Vec::with_capacity(ws.cells.len() + 1);
-        let mut acc = 0usize;
-        o.push(0);
-        for c in &ws.cells {
-            acc += c.k();
-            o.push(acc);
-        }
-        o
-    };
-    let total_cands = *offsets.last().unwrap_or(&0);
+    // Belief per candidate, in the workspace's candidate order.
+    let total_cands = ws.n_candidates();
     let mut belief = vec![0.0f64; total_cands];
     let mut new_trust = vec![0.0f64; n];
 
@@ -147,16 +137,16 @@ fn run(view: &DatasetView<'_>, cfg: &FixpointConfig, variant: Variant) -> TruthR
         }
         match variant {
             Variant::Sums | Variant::AverageLog => {
-                for (ci, cell) in ws.cells.iter().enumerate() {
-                    let base = offsets[ci];
+                for cell in ws.cells() {
+                    let base = cell.cand_base;
                     for (ic, &src) in cell.claim_sources.iter().enumerate() {
                         belief[base + cell.claim_cand[ic] as usize] += trust[src.index()];
                     }
                 }
             }
             Variant::Investment | Variant::PooledInvestment => {
-                for (ci, cell) in ws.cells.iter().enumerate() {
-                    let base = offsets[ci];
+                for cell in ws.cells() {
+                    let base = cell.cand_base;
                     for (ic, &src) in cell.claim_sources.iter().enumerate() {
                         let s = src.index();
                         let stake = trust[s] / ws.claims_per_source[s].max(1) as f64;
@@ -172,8 +162,8 @@ fn run(view: &DatasetView<'_>, cfg: &FixpointConfig, variant: Variant) -> TruthR
                     // Pooled: belief mass within each cell is rescaled by
                     // the grown share.
                     let g = cfg.pooled_growth;
-                    for (ci, cell) in ws.cells.iter().enumerate() {
-                        let base = offsets[ci];
+                    for cell in ws.cells() {
+                        let base = cell.cand_base;
                         let k = cell.k();
                         let h_sum: f64 = belief[base..base + k].iter().sum();
                         let g_sum: f64 = belief[base..base + k].iter().map(|h| h.powf(g)).sum();
@@ -201,8 +191,8 @@ fn run(view: &DatasetView<'_>, cfg: &FixpointConfig, variant: Variant) -> TruthR
         }
         match variant {
             Variant::Sums | Variant::AverageLog => {
-                for (ci, cell) in ws.cells.iter().enumerate() {
-                    let base = offsets[ci];
+                for cell in ws.cells() {
+                    let base = cell.cand_base;
                     for (ic, &src) in cell.claim_sources.iter().enumerate() {
                         new_trust[src.index()] += belief[base + cell.claim_cand[ic] as usize];
                     }
@@ -220,16 +210,16 @@ fn run(view: &DatasetView<'_>, cfg: &FixpointConfig, variant: Variant) -> TruthR
                 // Return on each claim proportional to the stake share.
                 // First: total stake per candidate (recomputed; cheap).
                 let mut stake_tot = vec![0.0f64; total_cands];
-                for (ci, cell) in ws.cells.iter().enumerate() {
-                    let base = offsets[ci];
+                for cell in ws.cells() {
+                    let base = cell.cand_base;
                     for (ic, &src) in cell.claim_sources.iter().enumerate() {
                         let s = src.index();
                         stake_tot[base + cell.claim_cand[ic] as usize] +=
                             trust[s] / ws.claims_per_source[s].max(1) as f64;
                     }
                 }
-                for (ci, cell) in ws.cells.iter().enumerate() {
-                    let base = offsets[ci];
+                for cell in ws.cells() {
+                    let base = cell.cand_base;
                     for (ic, &src) in cell.claim_sources.iter().enumerate() {
                         let s = src.index();
                         let stake = trust[s] / ws.claims_per_source[s].max(1) as f64;
@@ -263,8 +253,8 @@ fn run(view: &DatasetView<'_>, cfg: &FixpointConfig, variant: Variant) -> TruthR
     }
 
     // Predictions: per-cell argmax belief, confidence = belief share.
-    for (ci, cell) in ws.cells.iter().enumerate() {
-        let base = offsets[ci];
+    for cell in ws.cells() {
+        let base = cell.cand_base;
         let k = cell.k();
         if k == 0 {
             continue;

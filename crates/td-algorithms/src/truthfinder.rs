@@ -95,14 +95,18 @@ impl TruthFinder {
         for s in sums.iter_mut() {
             *s = 0.0;
         }
+        // τ(s) depends on the source only: once per source, not per claim.
+        let tau: Vec<f64> = trust
+            .iter()
+            .map(|&t| -(1.0 - clamp_unit(t, EPS)).ln())
+            .collect();
 
-        for cell in &ws.cells {
+        for cell in ws.cells() {
             let k = cell.k();
             sigma.clear();
             sigma.resize(k, 0.0);
-            for (ci, &src) in cell.claim_cand.iter().zip(&cell.claim_sources) {
-                let t = clamp_unit(trust[src.index()], EPS);
-                sigma[*ci as usize] += -(1.0 - t).ln();
+            for (ci, &src) in cell.claim_cand.iter().zip(cell.claim_sources) {
+                sigma[*ci as usize] += tau[src.index()];
             }
             adjusted.clear();
             adjusted.extend_from_slice(&sigma);
@@ -129,7 +133,7 @@ impl TruthFinder {
                     best_conf = c;
                 }
             }
-            for (ci, &src) in cell.claim_cand.iter().zip(&cell.claim_sources) {
+            for (ci, &src) in cell.claim_cand.iter().zip(cell.claim_sources) {
                 sums[src.index()] += adjusted[*ci as usize];
             }
             if let Some(r) = result.as_deref_mut() {

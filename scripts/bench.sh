@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# Runs the TD-AC criterion benches (tdac_pipeline, clustering,
-# partitioning, store, serve) and aggregates their per-bench medians
-# into BENCH_tdac.json at the repo root.
+# Runs the TD-AC criterion benches (algorithms, tdac_pipeline,
+# clustering, partitioning, store, serve) and aggregates their per-bench
+# medians into BENCH_tdac.json at the repo root.
 #
 # The vendored criterion shim emits one JSON line per benchmark when
 # TDAC_BENCH_JSON is set; this script collects those lines into a single
@@ -33,7 +33,7 @@ shard_tmp="$repo_root/.bench_shard.bench.tmp.json"
 out="$repo_root/BENCH_tdac.json"
 rm -f "$tmp" "$shard_tmp"
 
-for bench in tdac_pipeline clustering partitioning store serve; do
+for bench in algorithms tdac_pipeline clustering partitioning store serve; do
     echo "== cargo bench --bench $bench =="
     TDAC_BENCH_JSON="$tmp" cargo bench --offline -p tdac-bench --bench "$bench" "$@"
 done
