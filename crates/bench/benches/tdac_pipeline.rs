@@ -8,7 +8,7 @@ use std::hint::black_box;
 
 use clustering::{silhouette_paper, Hamming, KMeans, KMeansConfig};
 use td_algorithms::{TruthDiscovery, TruthFinder};
-use tdac_bench::exam_bench;
+use tdac_bench::{ds1_bench, exam_bench};
 use tdac_core::{truth_vector_set, Tdac, TdacConfig};
 
 fn bench_phases(c: &mut Criterion) {
@@ -171,11 +171,45 @@ fn bench_streaming(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_apply_batch(c: &mut Criterion) {
+    // The data layer of a served ingest: 20 new objects (~1,200 claims)
+    // onto an 8,000-object DS1 world, the shape of perfbench's
+    // `serve_stream` batches. Only `Dataset::apply_batch` is timed.
+    use td_model::{ClaimBatch, DatasetBuilder};
+
+    const SERVED: u32 = 8_000;
+    let world = ds1_bench(SERVED as usize + 20).dataset;
+    let mut base = DatasetBuilder::new();
+    let mut batch = ClaimBatch::new();
+    for cl in world.claims() {
+        let (s, o, a) = (
+            world.source_name(cl.source),
+            world.object_name(cl.object),
+            world.attribute_name(cl.attribute),
+        );
+        let v = world.value(cl.value).clone();
+        if cl.object.0 < SERVED {
+            base.claim(s, o, a, v).expect("consistent claims");
+        } else {
+            batch.claim(s, o, a, v);
+        }
+    }
+    let base = base.build();
+
+    let mut group = c.benchmark_group("streaming/ds1_8000");
+    group.sample_size(20);
+    group.bench_function("apply_batch", |b| {
+        b.iter(|| black_box(base.apply_batch(&batch).expect("consistent batch")));
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_phases,
     bench_limits_overhead,
     bench_exam_sizes,
-    bench_streaming
+    bench_streaming,
+    bench_apply_batch
 );
 criterion_main!(benches);

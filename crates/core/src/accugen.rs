@@ -454,10 +454,23 @@ impl AccuGenPartition {
             let view = dataset.view_of(group);
             let partial = base.discover_observed(&view, obs);
             // Only sources actually claiming inside the group carry
-            // information about the partition's quality.
+            // information about the partition's quality. They are listed
+            // in id order, the order Max/Avg fold in. The scan stops once
+            // every source is seen, within a few cells on dense data.
+            let mut claims_here = vec![false; dataset.n_sources()];
+            let mut unseen = claims_here.len();
+            for c in view.cells().flat_map(|cell| view.cell_claims(cell)) {
+                if !claims_here[c.source.index()] {
+                    claims_here[c.source.index()] = true;
+                    unseen -= 1;
+                    if unseen == 0 {
+                        break;
+                    }
+                }
+            }
             let active: Vec<f64> = dataset
                 .source_ids()
-                .filter(|&s| view.claims_of_source(s).next().is_some())
+                .filter(|s| claims_here[s.index()])
                 .map(|s| partial.source_trust[s.index()])
                 .collect();
             if !active.is_empty() {

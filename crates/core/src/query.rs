@@ -35,7 +35,7 @@
 use serde::{Deserialize, Serialize};
 
 use td_algorithms::TruthResult;
-use td_model::{Dataset, ModelError, Value};
+use td_model::{AttributeId, Dataset, ModelError, ObjectId, Value, ValueId};
 use td_obs::{Degradation, RunProfile};
 
 use crate::tdac::TdacOutcome;
@@ -131,7 +131,7 @@ impl TruthQuery {
         let mut resp = QueryResponse::default();
         match self {
             TruthQuery::All => {
-                resp.predictions = sorted_predictions(dataset, result, None);
+                resp.predictions = sorted_predictions(dataset, result);
                 resp.sources = all_sources(dataset, result);
             }
             TruthQuery::Object(object) => {
@@ -141,7 +141,12 @@ impl TruthQuery {
                         name: object.clone(),
                     }
                 })?;
-                resp.predictions = sorted_predictions(dataset, result, Some(oid));
+                // One lookup per attribute, in ascending id: the same
+                // rows and order as `All` filtered to this object.
+                resp.predictions = dataset
+                    .attribute_ids()
+                    .filter_map(|aid| cell_prediction(dataset, result, oid, aid))
+                    .collect();
             }
             TruthQuery::Attribute(object, attribute) => {
                 let oid = dataset.object_id(object).ok_or_else(|| {
@@ -156,16 +161,8 @@ impl TruthQuery {
                         name: attribute.clone(),
                     }
                 })?;
-                if let (Some(v), Some(c)) =
-                    (result.prediction(oid, aid), result.confidence(oid, aid))
-                {
-                    resp.predictions.push(Prediction {
-                        object: object.clone(),
-                        attribute: attribute.clone(),
-                        value: dataset.value(v).clone(),
-                        confidence: c,
-                    });
-                }
+                resp.predictions
+                    .extend(cell_prediction(dataset, result, oid, aid));
             }
             TruthQuery::Source(source) => {
                 let sid = dataset.source_id(source).ok_or_else(|| {
@@ -186,26 +183,34 @@ impl TruthQuery {
     }
 }
 
-/// All predictions (optionally restricted to one object), sorted by
-/// `(ObjectId, AttributeId)` for byte-stable output.
-fn sorted_predictions(
-    dataset: &Dataset,
-    result: &TruthResult,
-    object: Option<td_model::ObjectId>,
-) -> Vec<Prediction> {
-    let mut rows: Vec<_> = result
-        .iter()
-        .filter(|&(o, _, _, _)| object.map_or(true, |want| o == want))
-        .collect();
+/// All predictions, sorted by `(ObjectId, AttributeId)` for byte-stable
+/// output.
+fn sorted_predictions(dataset: &Dataset, result: &TruthResult) -> Vec<Prediction> {
+    let mut rows: Vec<_> = result.iter().collect();
     rows.sort_by_key(|&(o, a, _, _)| (o, a));
     rows.into_iter()
-        .map(|(o, a, v, c)| Prediction {
-            object: dataset.object_name(o).to_string(),
-            attribute: dataset.attribute_name(a).to_string(),
-            value: dataset.value(v).clone(),
-            confidence: c,
-        })
+        .map(|(o, a, v, c)| prediction(dataset, o, a, v, c))
         .collect()
+}
+
+/// The name-resolved prediction of one cell, if the result has one.
+fn cell_prediction(
+    dataset: &Dataset,
+    result: &TruthResult,
+    o: ObjectId,
+    a: AttributeId,
+) -> Option<Prediction> {
+    let (v, c) = (result.prediction(o, a)?, result.confidence(o, a)?);
+    Some(prediction(dataset, o, a, v, c))
+}
+
+fn prediction(dataset: &Dataset, o: ObjectId, a: AttributeId, v: ValueId, c: f64) -> Prediction {
+    Prediction {
+        object: dataset.object_name(o).to_string(),
+        attribute: dataset.attribute_name(a).to_string(),
+        value: dataset.value(v).clone(),
+        confidence: c,
+    }
 }
 
 /// Every source's trust score, in `SourceId` order.
@@ -275,6 +280,49 @@ mod tests {
         assert_eq!(resp.predictions.len(), 1);
         assert_eq!(resp.predictions[0].value, Value::text("x"));
         assert!(resp.predictions[0].confidence > 0.5);
+    }
+
+    #[test]
+    fn object_answer_equals_the_all_answer_filtered() {
+        // A DS1 world with some claims dropped, so objects miss some
+        // attributes, predicted by a whole TD-AC run.
+        let world = datagen::generate_synthetic(&datagen::SyntheticConfig::ds1().scaled(40));
+        let dataset = world
+            .dataset
+            .subset_where(|c| (c.object.0 * 7 + c.attribute.0 * 3) % 5 != 0)
+            .unwrap();
+        let outcome = crate::Tdac::new(crate::TdacConfig::default())
+            .run(&MajorityVote, &dataset)
+            .unwrap();
+        let all = TruthQuery::All.answer(&dataset, &outcome).unwrap();
+        for o in dataset.object_ids() {
+            let name = dataset.object_name(o);
+            let resp = TruthQuery::Object(name.into())
+                .answer(&dataset, &outcome)
+                .unwrap();
+            let expected: Vec<_> = all
+                .predictions
+                .iter()
+                .filter(|p| p.object == name)
+                .cloned()
+                .collect();
+            assert!(!expected.is_empty());
+            assert_eq!(
+                serde_json::to_string(&resp.predictions).unwrap(),
+                serde_json::to_string(&expected).unwrap(),
+                "object {name}"
+            );
+        }
+        let err = TruthQuery::Object("ghost".into())
+            .answer(&dataset, &outcome)
+            .unwrap_err();
+        assert_eq!(
+            err,
+            ModelError::UnknownEntity {
+                kind: "object",
+                name: "ghost".into()
+            }
+        );
     }
 
     #[test]

@@ -2,6 +2,7 @@
 
 use std::collections::HashMap;
 use std::ops::Range;
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
@@ -18,7 +19,7 @@ use crate::view::DatasetView;
 ///
 /// Cells are the unit the truth-discovery problem is defined over: each
 /// cell has exactly one true value among the (conflicting) claimed ones.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Cell {
     /// The object of this cell.
     pub object: ObjectId,
@@ -44,13 +45,26 @@ impl Cell {
 
 /// An immutable truth-discovery dataset: interned sources, objects,
 /// attributes and values, plus claims sorted by `(attribute, object,
-/// source)` with per-attribute and per-source indexes.
+/// source)` with a per-attribute cell index.
 ///
 /// Construct with [`DatasetBuilder`]. The sort order is what makes
 /// [`DatasetView`] (restriction to an attribute subset) a zero-copy
 /// operation: all the cells of one attribute are contiguous.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+///
+/// Every part sits behind one shared pointer, so `clone` is O(1) and the
+/// clone shares its claims and interner tables with the original.
+///
+/// The serde form carries only the interners, the values and the
+/// claims. Deserializing rebuilds the indexes through
+/// [`Dataset::from_interned_parts`], so a hostile file yields an error,
+/// never a malformed dataset.
+#[derive(Debug, Clone)]
 pub struct Dataset {
+    parts: Arc<Parts>,
+}
+
+#[derive(Debug)]
+struct Parts {
     sources: Interner,
     objects: Interner,
     attributes: Interner,
@@ -59,77 +73,96 @@ pub struct Dataset {
     cells: Vec<Cell>,
     /// `attribute.index() -> range` of that attribute's cells in `cells`.
     cells_by_attr: Vec<(u32, u32)>,
-    /// `source.index() -> indices into claims`, ascending.
-    by_source: Vec<Vec<u32>>,
+}
+
+/// The canonical claim order: `(attribute, object, source)`. Keys are
+/// unique within a dataset, so this is a total order on its claims.
+fn claim_key(c: &Claim) -> (AttributeId, ObjectId, SourceId) {
+    (c.attribute, c.object, c.source)
 }
 
 impl Dataset {
+    /// Indexes claims already sorted by [`claim_key`] with unique keys
+    /// and ids in range of the tables: the shared back half of every
+    /// constructor.
+    fn index(
+        sources: Interner,
+        objects: Interner,
+        attributes: Interner,
+        values: Vec<Value>,
+        claims: Vec<Claim>,
+    ) -> Dataset {
+        let (cells, cells_by_attr) = index_claims(&claims, attributes.len());
+        Dataset {
+            parts: Arc::new(Parts {
+                sources,
+                objects,
+                attributes,
+                values,
+                claims,
+                cells,
+                cells_by_attr,
+            }),
+        }
+    }
+
     /// Number of registered sources (including any without claims).
     pub fn n_sources(&self) -> usize {
-        self.sources.len()
+        self.parts.sources.len()
     }
 
     /// Number of registered objects.
     pub fn n_objects(&self) -> usize {
-        self.objects.len()
+        self.parts.objects.len()
     }
 
     /// Number of registered attributes.
     pub fn n_attributes(&self) -> usize {
-        self.attributes.len()
+        self.parts.attributes.len()
     }
 
     /// Number of distinct interned values.
     pub fn n_values(&self) -> usize {
-        self.values.len()
+        self.parts.values.len()
     }
 
     /// Total number of claims (observations).
     pub fn n_claims(&self) -> usize {
-        self.claims.len()
+        self.parts.claims.len()
     }
 
     /// Number of non-empty `(object, attribute)` cells.
     pub fn n_cells(&self) -> usize {
-        self.cells.len()
+        self.parts.cells.len()
     }
 
     /// All claims, sorted by `(attribute, object, source)`.
     pub fn claims(&self) -> &[Claim] {
-        &self.claims
+        &self.parts.claims
     }
 
     /// All non-empty cells, sorted by `(attribute, object)`.
     pub fn cells(&self) -> &[Cell] {
-        &self.cells
+        &self.parts.cells
     }
 
     /// The claims of one cell (each from a distinct source).
     pub fn cell_claims(&self, cell: &Cell) -> &[Claim] {
-        &self.claims[cell.claim_range()]
+        &self.parts.claims[cell.claim_range()]
     }
 
     /// The cells of a single attribute, contiguous by construction.
     pub fn cells_of_attribute(&self, attribute: AttributeId) -> &[Cell] {
-        match self.cells_by_attr.get(attribute.index()) {
-            Some(&(s, e)) => &self.cells[s as usize..e as usize],
+        match self.parts.cells_by_attr.get(attribute.index()) {
+            Some(&(s, e)) => &self.parts.cells[s as usize..e as usize],
             None => &[],
         }
     }
 
-    /// Indices (into [`Dataset::claims`]) of one source's claims.
-    pub fn claim_indices_of_source(&self, source: SourceId) -> &[u32] {
-        self.by_source
-            .get(source.index())
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
-    }
-
-    /// Iterates over one source's claims.
+    /// Iterates over one source's claims, in claim order. This scans
+    /// every claim: the dataset keeps no per-source index.
     pub fn claims_of_source(&self, source: SourceId) -> impl Iterator<Item = &Claim> {
-        self.claim_indices_of_source(source)
-            .iter()
-            .map(|&i| &self.claims[i as usize])
+        self.parts.claims.iter().filter(move |c| c.source == source)
     }
 
     /// Resolves a value id to its payload.
@@ -137,15 +170,16 @@ impl Dataset {
     /// # Panics
     /// Panics if `id` does not belong to this dataset.
     pub fn value(&self, id: ValueId) -> &Value {
-        &self.values[id.index()]
+        &self.parts.values[id.index()]
     }
 
     /// Looks up the id of an already-interned value.
     pub fn value_id(&self, value: &Value) -> Option<ValueId> {
         // The value table is small relative to claims and this lookup is
-        // off the hot path (evaluation only), so a linear scan keeps the
-        // struct serde-friendly without a skipped index field.
-        self.values
+        // off the hot path (evaluation only), so a linear scan spares the
+        // dataset a value index.
+        self.parts
+            .values
             .iter()
             .position(|v| v == value)
             .map(|i| ValueId::new(i as u32))
@@ -153,32 +187,41 @@ impl Dataset {
 
     /// Name of a source.
     pub fn source_name(&self, id: SourceId) -> &str {
-        self.sources.name(id.0).expect("source id out of range")
+        self.parts
+            .sources
+            .name(id.0)
+            .expect("source id out of range")
     }
 
     /// Name of an object.
     pub fn object_name(&self, id: ObjectId) -> &str {
-        self.objects.name(id.0).expect("object id out of range")
+        self.parts
+            .objects
+            .name(id.0)
+            .expect("object id out of range")
     }
 
     /// Name of an attribute.
     pub fn attribute_name(&self, id: AttributeId) -> &str {
-        self.attributes.name(id.0).expect("attribute id out of range")
+        self.parts
+            .attributes
+            .name(id.0)
+            .expect("attribute id out of range")
     }
 
     /// Id of a named source.
     pub fn source_id(&self, name: &str) -> Option<SourceId> {
-        self.sources.get(name).map(SourceId::new)
+        self.parts.sources.get(name).map(SourceId::new)
     }
 
     /// Id of a named object.
     pub fn object_id(&self, name: &str) -> Option<ObjectId> {
-        self.objects.get(name).map(ObjectId::new)
+        self.parts.objects.get(name).map(ObjectId::new)
     }
 
     /// Id of a named attribute.
     pub fn attribute_id(&self, name: &str) -> Option<AttributeId> {
-        self.attributes.get(name).map(AttributeId::new)
+        self.parts.attributes.get(name).map(AttributeId::new)
     }
 
     /// All source ids.
@@ -228,13 +271,6 @@ impl Dataset {
         Ok(())
     }
 
-    /// Rebuilds skipped interner indexes after deserialization.
-    pub(crate) fn rebuild_indexes(&mut self) {
-        self.sources.rebuild_index();
-        self.objects.rebuild_index();
-        self.attributes.rebuild_index();
-    }
-
     /// Looks up the claim a source asserted for a cell, if any
     /// (binary search over the `(attribute, object, source)` sort).
     pub fn claim_of(
@@ -243,12 +279,11 @@ impl Dataset {
         object: ObjectId,
         attribute: AttributeId,
     ) -> Option<&Claim> {
-        self.claims
-            .binary_search_by_key(&(attribute, object, source), |c| {
-                (c.attribute, c.object, c.source)
-            })
+        let claims = &self.parts.claims;
+        claims
+            .binary_search_by_key(&(attribute, object, source), claim_key)
             .ok()
-            .map(|i| &self.claims[i])
+            .map(|i| &claims[i])
     }
 
     /// Applies an append-only [`ClaimBatch`], producing the grown
@@ -262,11 +297,16 @@ impl Dataset {
     /// value for an already-claimed `(source, object, attribute)` is
     /// [`ModelError::ConflictingClaim`] — claims are append-only, never
     /// updated in place.
+    ///
+    /// Only the batch is sorted: its claims are then merged into the
+    /// already-sorted claim vector in one pass, which yields the same
+    /// vector as sorting everything because keys are unique.
     pub fn apply_batch(&self, batch: &ClaimBatch) -> Result<(Dataset, DeltaSummary), ModelError> {
-        let mut sources = self.sources.clone();
-        let mut objects = self.objects.clone();
-        let mut attributes = self.attributes.clone();
-        let mut values = self.values.clone();
+        let p = &*self.parts;
+        let mut sources = p.sources.clone();
+        let mut objects = p.objects.clone();
+        let mut attributes = p.attributes.clone();
+        let mut values = p.values.clone();
         let mut value_index: HashMap<Value, ValueId> = values
             .iter()
             .enumerate()
@@ -309,12 +349,9 @@ impl Dataset {
             }
         }
 
-        let dirty: Vec<AttributeId> = {
-            let mut attrs: Vec<AttributeId> = appended.iter().map(|c| c.attribute).collect();
-            attrs.sort_unstable();
-            attrs.dedup();
-            attrs
-        };
+        appended.sort_unstable_by_key(claim_key);
+        let mut dirty: Vec<AttributeId> = appended.iter().map(|c| c.attribute).collect();
+        dirty.dedup();
         let summary = DeltaSummary {
             dirty_attributes: dirty,
             new_sources: sources.len() - old_sources,
@@ -323,21 +360,8 @@ impl Dataset {
             appended_claims: appended.len(),
         };
 
-        let mut claims = self.claims.clone();
-        claims.extend(appended);
-        claims.sort_unstable_by_key(|c| (c.attribute, c.object, c.source));
-        let (cells, cells_by_attr, by_source) =
-            index_claims(&claims, attributes.len(), sources.len());
-        let dataset = Dataset {
-            sources,
-            objects,
-            attributes,
-            values,
-            claims,
-            cells,
-            cells_by_attr,
-            by_source,
-        };
+        let claims = merge_sorted(&p.claims, &appended);
+        let dataset = Dataset::index(sources, objects, attributes, values, claims);
         Ok((dataset, summary))
     }
 
@@ -376,27 +400,18 @@ impl Dataset {
                 });
             }
         }
-        claims.sort_unstable_by_key(|c| (c.attribute, c.object, c.source));
-        if let Some(w) = claims.windows(2).find(|w| {
-            (w[0].attribute, w[0].object, w[0].source) == (w[1].attribute, w[1].object, w[1].source)
-        }) {
+        claims.sort_unstable_by_key(claim_key);
+        if let Some(w) = claims
+            .windows(2)
+            .find(|w| claim_key(&w[0]) == claim_key(&w[1]))
+        {
             return Err(ModelError::ConflictingClaim {
                 source: sources.name(w[0].source.0).unwrap_or("?").to_owned(),
                 object: objects.name(w[0].object.0).unwrap_or("?").to_owned(),
                 attribute: attributes.name(w[0].attribute.0).unwrap_or("?").to_owned(),
             });
         }
-        let (cells, cells_by_attr, by_source) = index_claims(&claims, na, ns);
-        Ok(Dataset {
-            sources,
-            objects,
-            attributes,
-            values,
-            claims,
-            cells,
-            cells_by_attr,
-            by_source,
-        })
+        Ok(Dataset::index(sources, objects, attributes, values, claims))
     }
 
     /// A new dataset holding only the claims `keep` accepts, with every
@@ -412,26 +427,73 @@ impl Dataset {
     /// (via [`Dataset::from_interned_parts`]), so a subset serializes
     /// byte-identically no matter how `self`'s claims were ordered.
     pub fn subset_where(&self, mut keep: impl FnMut(&Claim) -> bool) -> Result<Dataset, ModelError> {
-        let claims: Vec<Claim> = self.claims.iter().filter(|c| keep(c)).copied().collect();
+        let p = &*self.parts;
+        let claims: Vec<Claim> = p.claims.iter().filter(|c| keep(c)).copied().collect();
         Dataset::from_interned_parts(
-            self.sources.clone(),
-            self.objects.clone(),
-            self.attributes.clone(),
-            self.values.clone(),
+            p.sources.clone(),
+            p.objects.clone(),
+            p.attributes.clone(),
+            p.values.clone(),
             claims,
         )
     }
 }
 
+impl Serialize for Dataset {
+    fn to_value(&self) -> serde::Value {
+        let p = &*self.parts;
+        let mut m = serde::Map::new();
+        m.insert("sources".to_string(), p.sources.to_value());
+        m.insert("objects".to_string(), p.objects.to_value());
+        m.insert("attributes".to_string(), p.attributes.to_value());
+        m.insert("values".to_string(), p.values.to_value());
+        m.insert("claims".to_string(), p.claims.to_value());
+        serde::Value::Object(m)
+    }
+}
+
+impl Deserialize for Dataset {
+    /// Reads the parts [`Serialize`] writes and ignores any other key,
+    /// such as the index fields older files carry.
+    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
+        let obj = v
+            .as_object()
+            .ok_or_else(|| serde::Error::custom("expected object for Dataset"))?;
+        fn part<T: Deserialize>(obj: &serde::Map, key: &str) -> Result<T, serde::Error> {
+            T::from_value(obj.get(key).unwrap_or(&serde::Value::Null))
+                .map_err(|e| e.context(&format!("Dataset.{key}")))
+        }
+        Dataset::from_interned_parts(
+            part(obj, "sources")?,
+            part(obj, "objects")?,
+            part(obj, "attributes")?,
+            part(obj, "values")?,
+            part(obj, "claims")?,
+        )
+        .map_err(|e| serde::Error::custom(e).context("Dataset"))
+    }
+}
+
+/// Merges `batch` into `claims`, both sorted by [`claim_key`] and with no
+/// key in common, in one pass: each batch claim finds its place by
+/// binary search in what is left of `claims`, and the run before it is
+/// copied whole. The result equals sorting the concatenation.
+fn merge_sorted(claims: &[Claim], batch: &[Claim]) -> Vec<Claim> {
+    let mut merged = Vec::with_capacity(claims.len() + batch.len());
+    let mut rest = claims;
+    for c in batch {
+        let at = rest.partition_point(|x| claim_key(x) < claim_key(c));
+        merged.extend_from_slice(&rest[..at]);
+        merged.push(*c);
+        rest = &rest[at..];
+    }
+    merged.extend_from_slice(rest);
+    merged
+}
+
 /// Indexes an `(attribute, object, source)`-sorted claim vector into
-/// cells, per-attribute cell ranges, and per-source claim indexes — the
-/// shared back half of [`DatasetBuilder::build_with_truth`] and
-/// [`Dataset::apply_batch`].
-fn index_claims(
-    claims: &[Claim],
-    n_attributes: usize,
-    n_sources: usize,
-) -> (Vec<Cell>, Vec<(u32, u32)>, Vec<Vec<u32>>) {
+/// cells and per-attribute cell ranges.
+fn index_claims(claims: &[Claim], n_attributes: usize) -> (Vec<Cell>, Vec<(u32, u32)>) {
     // Group contiguous runs of equal (attribute, object) into cells.
     let mut cells: Vec<Cell> = Vec::new();
     let mut i = 0usize;
@@ -459,13 +521,7 @@ fn index_claims(
         }
         cells_by_attr[a] = (start as u32, j as u32);
     }
-
-    // Per-source claim indexes.
-    let mut by_source = vec![Vec::new(); n_sources];
-    for (idx, c) in claims.iter().enumerate() {
-        by_source[c.source.index()].push(idx as u32);
-    }
-    (cells, cells_by_attr, by_source)
+    (cells, cells_by_attr)
 }
 
 /// Incremental [`Dataset`] constructor.
@@ -597,20 +653,14 @@ impl DatasetBuilder {
                 Claim::new(SourceId::new(s), ObjectId::new(o), AttributeId::new(a), v)
             })
             .collect();
-        claims.sort_unstable_by_key(|c| (c.attribute, c.object, c.source));
-        let (cells, cells_by_attr, by_source) =
-            index_claims(&claims, self.attributes.len(), self.sources.len());
-
-        let dataset = Dataset {
-            sources: self.sources,
-            objects: self.objects,
-            attributes: self.attributes,
-            values: self.values,
+        claims.sort_unstable_by_key(claim_key);
+        let dataset = Dataset::index(
+            self.sources,
+            self.objects,
+            self.attributes,
+            self.values,
             claims,
-            cells,
-            cells_by_attr,
-            by_source,
-        };
+        );
         (dataset, GroundTruth::from_map(self.truth))
     }
 }
@@ -744,13 +794,62 @@ mod tests {
     }
 
     #[test]
-    fn by_source_index_is_consistent() {
+    fn claims_of_source_keeps_claim_order() {
         let (d, _) = running_example();
         for s in d.source_ids() {
-            let claims: Vec<_> = d.claims_of_source(s).collect();
+            let claims: Vec<_> = d.claims_of_source(s).copied().collect();
+            let expected: Vec<_> = d
+                .claims()
+                .iter()
+                .filter(|c| c.source == s)
+                .copied()
+                .collect();
             assert_eq!(claims.len(), 6);
-            assert!(claims.iter().all(|c| c.source == s));
+            assert_eq!(claims, expected);
         }
+    }
+
+    #[test]
+    fn clone_shares_storage() {
+        let (d, _) = running_example();
+        let copy = d.clone();
+        assert_eq!(copy.claims().as_ptr(), d.claims().as_ptr());
+        assert_eq!(copy.cells().as_ptr(), d.cells().as_ptr());
+        assert!(std::ptr::eq(
+            copy.source_name(SourceId::new(0)),
+            d.source_name(SourceId::new(0))
+        ));
+    }
+
+    #[test]
+    fn merge_sorted_equals_sorting_the_concatenation() {
+        let claim = |a: u32, o: u32, s: u32| {
+            Claim::new(
+                SourceId::new(s),
+                ObjectId::new(o),
+                AttributeId::new(a),
+                ValueId::new(0),
+            )
+        };
+        let old = vec![
+            claim(0, 0, 0),
+            claim(0, 0, 2),
+            claim(0, 3, 1),
+            claim(2, 1, 0),
+        ];
+        let batch = vec![
+            claim(0, 0, 1),
+            claim(0, 4, 0),
+            claim(1, 0, 0),
+            claim(2, 1, 1),
+            claim(3, 0, 0),
+        ];
+        let mut expected = old.clone();
+        expected.extend(&batch);
+        expected.sort_unstable_by_key(claim_key);
+        assert_eq!(merge_sorted(&old, &batch), expected);
+        assert_eq!(merge_sorted(&old, &[]), old);
+        assert_eq!(merge_sorted(&[], &batch), batch);
     }
 
     #[test]

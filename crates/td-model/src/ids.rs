@@ -75,7 +75,10 @@ define_id!(
 ///
 /// Used by [`crate::DatasetBuilder`] for source, object and attribute
 /// names. Lookup is `O(1)` amortized; `name(id)` is a direct `Vec` index.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+///
+/// Serializes as its names only. Deserializing re-interns them, so the
+/// lookup index is rebuilt and a repeated name is an error.
+#[derive(Debug, Clone, Default, Serialize)]
 pub struct Interner {
     names: Vec<String>,
     #[serde(skip)]
@@ -127,16 +130,26 @@ impl Interner {
             .enumerate()
             .map(|(i, n)| (i as u32, n.as_str()))
     }
+}
 
-    /// Rebuilds the reverse index (needed after deserialization, where the
-    /// `index` field is skipped).
-    pub fn rebuild_index(&mut self) {
-        self.index = self
-            .names
-            .iter()
-            .enumerate()
-            .map(|(i, n)| (n.clone(), i as u32))
-            .collect();
+impl Deserialize for Interner {
+    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
+        let names: Vec<String> = v
+            .as_object()
+            .ok_or_else(|| serde::Error::custom("expected object for Interner"))
+            .and_then(|obj| {
+                Deserialize::from_value(obj.get("names").unwrap_or(&serde::Value::Null))
+            })
+            .map_err(|e| e.context("Interner.names"))?;
+        let mut interner = Interner::new();
+        for name in &names {
+            if interner.get(name).is_some() {
+                return Err(serde::Error::custom(format!("duplicate name {name:?}"))
+                    .context("Interner.names"));
+            }
+            interner.intern(name);
+        }
+        Ok(interner)
     }
 }
 
@@ -177,16 +190,22 @@ mod tests {
     }
 
     #[test]
-    fn rebuild_index_restores_lookup() {
+    fn deserialization_restores_lookup() {
         let mut i = Interner::new();
         i.intern("p");
         i.intern("q");
         let json = serde_json::to_string(&i).unwrap();
-        let mut back: Interner = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.get("p"), None, "index is skipped by serde");
-        back.rebuild_index();
+        assert_eq!(json, r#"{"names":["p","q"]}"#);
+        let back: Interner = serde_json::from_str(&json).unwrap();
         assert_eq!(back.get("p"), Some(0));
         assert_eq!(back.get("q"), Some(1));
+        assert_eq!(back.name(1), Some("q"));
+    }
+
+    #[test]
+    fn deserialization_rejects_repeated_names() {
+        let err = serde_json::from_str::<Interner>(r#"{"names":["p","q","p"]}"#).unwrap_err();
+        assert!(err.to_string().contains("duplicate name \"p\""), "{err}");
     }
 
     #[test]

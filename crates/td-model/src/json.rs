@@ -1,9 +1,12 @@
 //! JSON (de)serialization of datasets and ground truth.
 //!
-//! Datasets are serialized with their indexes included (they are small
-//! relative to the claims), while interner reverse maps are rebuilt on
-//! load. The format is a stable, versioned envelope so experiment inputs
-//! and generated workloads can be archived and replayed.
+//! A dataset is serialized as its interner names, values and claims.
+//! Loading rebuilds every index and validates the claims through
+//! [`Dataset::from_interned_parts`], so a hostile file is a
+//! [`ModelError`], never a malformed dataset. Index fields that older
+//! files carry are ignored. The format is a stable, versioned envelope so
+//! experiment inputs and generated workloads can be archived and
+//! replayed.
 
 use serde::{Deserialize, Serialize};
 
@@ -35,10 +38,10 @@ pub fn to_json(dataset: &Dataset, truth: Option<&GroundTruth>) -> String {
     serde_json::to_string(&bundle).expect("dataset serialization cannot fail")
 }
 
-/// Parses a bundle previously produced by [`to_json`], rebuilding the
-/// interner lookup indexes.
+/// Parses a bundle previously produced by [`to_json`], rebuilding and
+/// validating the dataset's indexes.
 pub fn from_json(json: &str) -> Result<(Dataset, Option<GroundTruth>), ModelError> {
-    let mut bundle: DatasetBundle =
+    let bundle: DatasetBundle =
         serde_json::from_str(json).map_err(|e| ModelError::Parse(e.to_string()))?;
     if bundle.version != FORMAT_VERSION {
         return Err(ModelError::Parse(format!(
@@ -46,7 +49,6 @@ pub fn from_json(json: &str) -> Result<(Dataset, Option<GroundTruth>), ModelErro
             bundle.version
         )));
     }
-    bundle.dataset.rebuild_indexes();
     Ok((bundle.dataset, bundle.truth))
 }
 
@@ -99,6 +101,61 @@ mod tests {
         let err = from_json(&json).unwrap_err();
         assert!(matches!(err, ModelError::Parse(_)));
         assert!(err.to_string().contains("version"));
+    }
+
+    /// A two-claim file in the layout that also carried the derived
+    /// indexes (cells, per-attribute ranges, per-source claim lists).
+    const INDEXED_FILE: &str = concat!(
+        r#"{"version":1,"dataset":{"sources":{"names":["s1","s2"]},"#,
+        r#""objects":{"names":["o"]},"attributes":{"names":["a"]},"#,
+        r#""values":[{"t":"Int","v":1},{"t":"Int","v":2}],"#,
+        r#""claims":[{"source":0,"object":0,"attribute":0,"value":0},"#,
+        r#"{"source":1,"object":0,"attribute":0,"value":1}],"#,
+        r#""cells":[{"object":0,"attribute":0,"claims_start":0,"claims_end":2}],"#,
+        r#""cells_by_attr":[[0,1]],"by_source":[[0],[1]]},"truth":null}"#
+    );
+
+    #[test]
+    fn loads_files_that_carry_index_fields() {
+        let (d, t) = from_json(INDEXED_FILE).unwrap();
+        assert!(t.is_none());
+        assert_eq!((d.n_sources(), d.n_claims(), d.n_cells()), (2, 2, 1));
+        assert_eq!(d.source_id("s2"), Some(crate::SourceId::new(1)));
+        assert_eq!(d.cell_claims(&d.cells()[0]).len(), 2);
+    }
+
+    #[test]
+    fn hostile_index_fields_cannot_reach_the_dataset() {
+        // A cell range past the claim vector: the indexes are rebuilt
+        // from the claims, so the file's cells are never trusted.
+        let file = INDEXED_FILE.replace(r#""claims_end":2"#, r#""claims_end":99"#);
+        let (d, _) = from_json(&file).unwrap();
+        assert_eq!(d.n_cells(), 1);
+        for cell in d.cells() {
+            assert!(cell.claim_range().end <= d.n_claims());
+            assert_eq!(d.cell_claims(cell).len(), 2);
+        }
+
+        // A claim naming source 7 of 2 is an error, not a dataset.
+        let file = INDEXED_FILE.replace(r#"{"source":1,"#, r#"{"source":7,"#);
+        let err = from_json(&file).unwrap_err();
+        assert!(
+            matches!(&err, ModelError::Parse(m) if m.contains("#7")),
+            "{err}"
+        );
+
+        // So is a claim repeated for one (source, object, attribute).
+        let file = INDEXED_FILE.replace(r#"{"source":1,"#, r#"{"source":0,"#);
+        assert!(matches!(from_json(&file), Err(ModelError::Parse(_))));
+    }
+
+    #[test]
+    fn writes_no_index_fields() {
+        let (d, t) = sample();
+        let json = to_json(&d, Some(&t));
+        for key in ["cells", "cells_by_attr", "by_source"] {
+            assert!(!json.contains(&format!("\"{key}\"")), "{key} in {json}");
+        }
     }
 
     #[test]

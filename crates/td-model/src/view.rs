@@ -2,7 +2,7 @@
 
 use crate::claim::Claim;
 use crate::dataset::{Cell, Dataset};
-use crate::ids::{AttributeId, SourceId, ValueId};
+use crate::ids::{AttributeId, ValueId};
 use crate::value::Value;
 
 /// A borrowed view of a [`Dataset`] restricted to an attribute subset.
@@ -19,6 +19,9 @@ use crate::value::Value;
 #[derive(Debug, Clone)]
 pub struct DatasetView<'a> {
     dataset: &'a Dataset,
+    /// `dataset.claims()`, borrowed once so a cell's claims are one
+    /// slice index away.
+    claims: &'a [Claim],
     /// Selected attributes, ascending.
     attrs: Vec<AttributeId>,
     /// `attribute.index() -> selected?`, length `dataset.n_attributes()`.
@@ -32,6 +35,7 @@ impl<'a> DatasetView<'a> {
         let mask = vec![true; dataset.n_attributes()];
         Self {
             dataset,
+            claims: dataset.claims(),
             attrs,
             mask,
         }
@@ -53,6 +57,7 @@ impl<'a> DatasetView<'a> {
             .collect();
         Self {
             dataset,
+            claims: dataset.claims(),
             attrs,
             mask,
         }
@@ -106,16 +111,9 @@ impl<'a> DatasetView<'a> {
         self.cells().map(Cell::n_claims).sum()
     }
 
-    /// The claims of a cell (delegates to the dataset).
+    /// The claims of a cell.
     pub fn cell_claims(&self, cell: &Cell) -> &'a [Claim] {
-        self.dataset.cell_claims(cell)
-    }
-
-    /// Iterates one source's claims restricted to this view.
-    pub fn claims_of_source(&self, source: SourceId) -> impl Iterator<Item = &'a Claim> + '_ {
-        self.dataset
-            .claims_of_source(source)
-            .filter(move |c| self.contains_attribute(c.attribute))
+        &self.claims[cell.claim_range()]
     }
 
     /// Resolves a value id.
@@ -161,17 +159,6 @@ mod tests {
         assert_eq!(v.n_cells(), 6);
         assert_eq!(v.n_claims(), 12);
         assert!(v.cells().all(|c| c.attribute == a1 || c.attribute == a3));
-    }
-
-    #[test]
-    fn source_claims_are_filtered() {
-        let d = dataset();
-        let a2 = d.attribute_id("a2").unwrap();
-        let v = d.view_of(&[a2]);
-        let s1 = d.source_id("s1").unwrap();
-        let claims: Vec<_> = v.claims_of_source(s1).collect();
-        assert_eq!(claims.len(), 3);
-        assert!(claims.iter().all(|c| c.attribute == a2 && c.source == s1));
     }
 
     #[test]

@@ -74,7 +74,9 @@ impl Default for ServeConfig {
     }
 }
 
-/// The immutable state one generation's queries answer against.
+/// The immutable state one generation's queries answer against. Its
+/// dataset shares storage with the session's (a `Dataset` clone is
+/// O(1)), so publishing a generation copies no claims.
 struct Snapshot {
     generation: u64,
     dataset: Dataset,
@@ -132,9 +134,17 @@ impl Shared {
             .clone()
     }
 
+    /// Swaps in the next generation. The replaced one is dropped after
+    /// the write lock is released: when no reader still holds it, that
+    /// drop frees its dataset and outcome, and readers should not wait
+    /// for it.
     fn publish(&self, snapshot: Snapshot) {
-        *self.snapshot.write().unwrap_or_else(|e| e.into_inner()) =
-            Arc::new(snapshot);
+        let snapshot = Arc::new(snapshot);
+        let previous = std::mem::replace(
+            &mut *self.snapshot.write().unwrap_or_else(|e| e.into_inner()),
+            snapshot,
+        );
+        drop(previous);
     }
 }
 
