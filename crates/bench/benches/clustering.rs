@@ -108,6 +108,21 @@ fn bench_kmeans_kernels(c: &mut Criterion) {
         b.iter(|| black_box(km.fit_observed(&packed, &opts).expect("fit")));
     });
     group.finish();
+
+    // A tall fit, the shape of TD-OC's object rows (rows far outnumber
+    // columns): one fit builds a 1000 x 1000 pair-count table and moves
+    // many rows per iteration, the side of the packed path no
+    // Exam-shaped sweep exercises.
+    let tall = BitMatrix::pack(&planted(1000, 60)).expect("planted matrices are binary");
+    let mut group = c.benchmark_group("kernel/kmeans_1000x60");
+    group.sample_size(10);
+    group.bench_function("packed", |b| {
+        let opts = DistanceOptions::builder()
+            .kernel(KernelPolicy::Packed)
+            .build();
+        b.iter(|| black_box(km.fit_observed(&tall, &opts).expect("fit")));
+    });
+    group.finish();
 }
 
 criterion_group!(

@@ -13,9 +13,10 @@
 //! accumulators so the compiler can autovectorize them; no SIMD
 //! intrinsics or non-vendored dependencies are involved.
 //!
-//! The same words feed the packed k-means: its centroids are exact
-//! column counts over member rows, held bit-sliced (`SlicedCounts`)
-//! so they are updated and read with word operations too.
+//! The same words feed the packed k-means: its screen reads the AND +
+//! popcount pair counts of every two rows, and its centroids are exact
+//! column counts over member rows, held bit-sliced (`SlicedCounts`) so
+//! they are updated and read with word operations too.
 
 use serde::{Deserialize, Serialize};
 
@@ -386,11 +387,22 @@ pub fn hamming_words(a: &[u64], b: &[u64]) -> u64 {
     total
 }
 
+/// AND + popcount over two equal-length word strips: the columns both
+/// rows set.
+#[inline]
+pub(crate) fn and_count_words(a: &[u64], b: &[u64]) -> u64 {
+    debug_assert_eq!(a.len(), b.len());
+    a.iter()
+        .zip(b)
+        .map(|(x, y)| u64::from((x & y).count_ones()))
+        .sum()
+}
+
 /// Exact per-column counts over a set of packed rows, held bit-sliced:
 /// bit `j` of plane `b` is bit `b` of column `j`'s count. This is a
 /// binary k-means centroid before the division by its member count, in
-/// a form the AND + popcount kernels can read a word at a time.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// a form that is updated and read a word at a time.
+#[derive(Debug)]
 pub(crate) struct SlicedCounts {
     words: usize,
     /// `⌊log₂ capacity⌋ + 1` planes of `words` words each.
@@ -454,48 +466,6 @@ impl SlicedCounts {
                 b += 1;
             }
         }
-    }
-
-    /// `Σ_{j ∈ row} cnt_j = Σ_b 2^b · popcount(row & plane_b)`.
-    #[inline]
-    pub(crate) fn dot(&self, row: &[u64]) -> u64 {
-        debug_assert_eq!(row.len(), self.words);
-        let mut total = 0u64;
-        for (b, plane) in self
-            .planes
-            .chunks_exact(self.words)
-            .take(self.active_planes())
-            .enumerate()
-        {
-            let ones: u64 = plane
-                .iter()
-                .zip(row)
-                .map(|(p, x)| u64::from((p & x).count_ones()))
-                .sum();
-            total += ones << b;
-        }
-        total
-    }
-
-    /// `Σ_j cnt_j² = Σ_{b, b'} 2^{b+b'} · popcount(plane_b & plane_b')`.
-    pub(crate) fn sum_squares(&self) -> u64 {
-        let top = self.active_planes();
-        let mut total = 0u64;
-        for b in 0..top {
-            let pb = &self.planes[b * self.words..(b + 1) * self.words];
-            for b2 in b..top {
-                let pb2 = &self.planes[b2 * self.words..(b2 + 1) * self.words];
-                let ones: u64 = pb
-                    .iter()
-                    .zip(pb2)
-                    .map(|(p, q)| u64::from((p & q).count_ones()))
-                    .sum();
-                // Off-diagonal pairs appear twice in the double sum.
-                let pair = if b == b2 { 1 } else { 2 };
-                total += pair * (ones << (b + b2));
-            }
-        }
-        total
     }
 
     /// Writes the count of every column position, `64·words` of them
@@ -735,6 +705,8 @@ mod tests {
         let b: Vec<u64> = (0..9).map(|i| 0xc2b2_ae3d_27d4_eb4fu64.wrapping_mul(i + 3)).collect();
         let scalar: u64 = a.iter().zip(&b).map(|(x, y)| u64::from((x ^ y).count_ones())).sum();
         assert_eq!(hamming_words(&a, &b), scalar);
+        let common: u32 = a.iter().zip(&b).map(|(x, y)| (x & y).count_ones()).sum();
+        assert_eq!(and_count_words(&a, &b), u64::from(common));
         let ma = vec![u64::MAX; 9];
         let mb: Vec<u64> = (0..9).map(|i| 0x5555_5555_5555_5555u64.rotate_left(i)).collect();
         let (diff, co) = masked_hamming_words(&a, &b, &ma, &mb);
@@ -770,15 +742,6 @@ mod tests {
             counts.write_counts(&mut got);
             assert_eq!(got, want, "cols = {cols}");
             assert_eq!(counts.members(), rows as u64);
-            let squares: u64 = want.iter().map(|&c| u64::from(c) * u64::from(c)).sum();
-            assert_eq!(counts.sum_squares(), squares);
-            for i in 0..rows {
-                let dot: u64 = (0..cols)
-                    .filter(|&j| m.get_bit(i, j))
-                    .map(|j| u64::from(want[j]))
-                    .sum();
-                assert_eq!(counts.dot(m.row_words(i)), dot);
-            }
             let (mut full, mut mixed) = (vec![0u64; words], vec![0u64; words]);
             counts.uniform_columns(&mut full, &mut mixed);
             for (j, &c) in want.iter().enumerate() {
@@ -797,7 +760,9 @@ mod tests {
                 .zip(&want)
                 .all(|(&q, &c)| q == f64::from(c) / rows as f64));
             counts.clear();
-            assert_eq!((counts.members(), counts.sum_squares()), (0, 0));
+            counts.write_counts(&mut got);
+            assert_eq!(counts.members(), 0);
+            assert!(got.iter().all(|&c| c == 0));
         }
     }
 

@@ -23,6 +23,14 @@ pub enum ClusterError {
     /// a single improvement pass, so the cap is rejected up front
     /// instead of silently returning the initialization.
     ZeroIterationCap,
+    /// A [`crate::KMeansSweep`] was asked for a `k` above the largest
+    /// one it was built for.
+    BeyondSweep {
+        /// Requested number of clusters.
+        k: usize,
+        /// The sweep's largest k.
+        max_k: usize,
+    },
 }
 
 impl fmt::Display for ClusterError {
@@ -36,6 +44,9 @@ impl fmt::Display for ClusterError {
             ClusterError::EmptyKRange => write!(f, "the k range to sweep is empty"),
             ClusterError::ZeroIterationCap => {
                 write!(f, "max_iterations = 0 can never fit (use at least 1)")
+            }
+            ClusterError::BeyondSweep { k, max_k } => {
+                write!(f, "k = {k} is above the sweep's largest k = {max_k}")
             }
         }
     }

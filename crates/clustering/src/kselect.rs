@@ -6,8 +6,9 @@
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
+use crate::distance::DistanceOptions;
 use crate::error::ClusterError;
-use crate::kmeans::{KMeans, KMeansConfig, KMeansResult};
+use crate::kmeans::{KMeansConfig, KMeansResult, KMeansSweep};
 use crate::matrix::Matrix;
 
 /// The outcome of an elbow sweep.
@@ -41,13 +42,14 @@ pub fn select_k_elbow(
         return Err(ClusterError::EmptyKRange);
     }
 
-    // Per-k fits are independent; run them in parallel and re-collect in
-    // k order (first error in k order wins, as in the sequential loop).
+    // Per-k fits of one sweep are independent; run them in parallel and
+    // re-collect in k order (first error in k order wins, as in the
+    // sequential loop).
     let ks: Vec<usize> = (lo..=hi).collect();
-    let results: Vec<Result<KMeansResult, ClusterError>> = ks
-        .par_iter()
-        .map(|&k| KMeans::new(KMeansConfig { k, ..base }).fit(data))
-        .collect();
+    let opts = DistanceOptions::default();
+    let sweep = KMeansSweep::new(KMeansConfig { k: hi, ..base }, data, &opts);
+    let results: Vec<Result<KMeansResult, ClusterError>> =
+        ks.par_iter().map(|&k| sweep.fit(k)).collect();
     let mut fits = Vec::with_capacity(ks.len());
     for (&k, result) in ks.iter().zip(results) {
         fits.push((k, result?));
@@ -88,6 +90,7 @@ pub fn select_k_elbow(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kmeans::KMeans;
 
     fn three_blobs() -> Matrix {
         let mut rows = Vec::new();

@@ -23,7 +23,8 @@
 //! * [`kmeans`] — Lloyd's algorithm with k-means++ or random
 //!   initialization, multiple seeded restarts and empty-cluster repair,
 //!   plus an exact packed path for 0/1 rows that returns the dense
-//!   loop's bits;
+//!   loop's bits, and [`kmeans::KMeansSweep`], which fits every k of a
+//!   sweep from pair counts and seeds shared across k;
 //! * [`silhouette`] — per-sample, per-cluster and partition-level
 //!   silhouette coefficients, in both the standard (global mean) and the
 //!   paper's macro-averaged form (Eqs. 5–7);
@@ -54,7 +55,7 @@ pub use distance::{
 };
 pub use error::ClusterError;
 pub use hierarchical::{Agglomerative, Linkage};
-pub use kmeans::{Init, KMeans, KMeansConfig, KMeansResult};
+pub use kmeans::{Init, KMeans, KMeansConfig, KMeansResult, KMeansSweep};
 pub use kselect::{select_k_elbow, ElbowSelection};
 pub use matrix::Matrix;
 pub use pam::{Pam, PamConfig, PamResult};

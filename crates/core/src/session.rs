@@ -49,6 +49,7 @@
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
+use std::sync::Arc;
 
 use clustering::{silhouette_paper_dist, BitMatrix, Rows};
 use serde::{Deserialize, Serialize};
@@ -147,8 +148,9 @@ pub struct IngestReport {
     pub groups_reused: usize,
     /// Total groups in the outcome's partition.
     pub groups_total: usize,
-    /// The full TD-AC outcome over the accumulated claim set.
-    pub outcome: TdacOutcome,
+    /// The full TD-AC outcome over the accumulated claim set, shared
+    /// with the session (cloning the handle copies nothing).
+    pub outcome: Arc<TdacOutcome>,
 }
 
 /// The maintained intermediates of the unmasked pipeline: the packed
@@ -201,7 +203,7 @@ pub struct TdacSession<B> {
     pin_is_fallback: bool,
     silhouette_at_pin: f64,
     cache: HashMap<Vec<AttributeId>, TruthResult>,
-    outcome: TdacOutcome,
+    outcome: Arc<TdacOutcome>,
 }
 
 impl<B: TruthDiscovery + Sync> TdacSession<B> {
@@ -291,7 +293,7 @@ impl<B: TruthDiscovery + Sync> TdacSession<B> {
             pin_is_fallback: pass.pin_is_fallback,
             silhouette_at_pin: pass.silhouette_at_pin,
             cache: pass.partials.into_iter().collect(),
-            outcome: pass.outcome,
+            outcome: Arc::new(pass.outcome),
         })
     }
 
@@ -324,10 +326,10 @@ impl<B: TruthDiscovery + Sync> TdacSession<B> {
                 }
             };
         stats.outcome.profile = profile;
-        self.outcome = stats.outcome.clone();
+        self.outcome = Arc::new(stats.outcome);
         Ok(IngestReport {
-            groups_total: stats.outcome.partition.len(),
-            outcome: stats.outcome,
+            groups_total: self.outcome.partition.len(),
+            outcome: Arc::clone(&self.outcome),
             summary,
             dirty_attributes: stats.dirty,
             repartitioned: stats.repartitioned,
@@ -597,6 +599,12 @@ impl<B: TruthDiscovery + Sync> TdacSession<B> {
     /// recent successful [`TdacSession::ingest`]).
     pub fn outcome(&self) -> &TdacOutcome {
         &self.outcome
+    }
+
+    /// [`TdacSession::outcome`] as a shared handle, for holders that
+    /// outlive the borrow (a served snapshot): cloning it copies nothing.
+    pub fn shared_outcome(&self) -> Arc<TdacOutcome> {
+        Arc::clone(&self.outcome)
     }
 
     /// The currently pinned attribute partition.

@@ -5,8 +5,8 @@ use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use clustering::{
-    silhouette_paper_dist, Agglomerative, BitMatrix, ClusterError, DistanceOptions, KMeans,
-    KMeansConfig, Pam, PamConfig, Rows,
+    silhouette_paper_dist, Agglomerative, BitMatrix, ClusterError, DistanceOptions, KMeansConfig,
+    KMeansSweep, Linkage, Pam, PamConfig, Rows,
 };
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
@@ -268,40 +268,65 @@ impl Metering {
     }
 }
 
-/// One clustering of `rows` into `k` groups with `method`, reusing the
-/// shared pairwise distance matrix wherever the method allows: PAM and
-/// hierarchical clustering are purely distance-based and never touch the
-/// feature vectors again; k-means optimizes Eq. 3 inertia over the rows
-/// themselves, on the exact packed path whenever `opts` allows it.
-fn cluster_cached(
-    config: &TdacConfig,
-    method: ClusterMethod,
-    rows: Rows<'_>,
-    dist: &[f64],
-    k: usize,
-    opts: &DistanceOptions,
-) -> Result<Vec<usize>, ClusterError> {
-    match method {
-        ClusterMethod::KMeans => {
-            let cfg = KMeansConfig {
-                k,
-                n_init: config.n_init,
-                seed: config.seed,
-                ..KMeansConfig::with_k(k)
-            };
-            Ok(KMeans::new(cfg).fit_observed(rows, opts)?.assignments)
+/// How one [`sweep`] clusters each k. k-means fits every k from one
+/// [`KMeansSweep`], which shares its pair counts and seed draws across
+/// k values; PAM and hierarchical clustering are purely distance-based
+/// and read only the shared pairwise distance matrix.
+enum SweepClusterer<'a> {
+    KMeans(KMeansSweep<'a>),
+    Pam,
+    Hierarchical(Linkage),
+}
+
+impl<'a> SweepClusterer<'a> {
+    /// The clusterer of a sweep over `ks`: a k-means sweep is built for
+    /// the largest k, on the exact packed path whenever `opts` allows it.
+    fn new(
+        config: &TdacConfig,
+        method: ClusterMethod,
+        rows: Rows<'a>,
+        ks: &[usize],
+        opts: &DistanceOptions,
+    ) -> Self {
+        match method {
+            ClusterMethod::KMeans => {
+                let k = ks.iter().copied().max().unwrap_or(0);
+                let cfg = KMeansConfig {
+                    k,
+                    n_init: config.n_init,
+                    seed: config.seed,
+                    ..KMeansConfig::with_k(k)
+                };
+                Self::KMeans(KMeansSweep::new(cfg, rows, opts))
+            }
+            ClusterMethod::Pam => Self::Pam,
+            ClusterMethod::Hierarchical(linkage) => Self::Hierarchical(linkage),
         }
-        ClusterMethod::Pam => {
-            let cfg = PamConfig {
-                seed: config.seed,
-                ..PamConfig::with_k(k)
-            };
-            Ok(Pam::new(cfg)
-                .fit_from_distances_observed(dist, rows.n_rows(), &opts.observer)?
-                .assignments)
-        }
-        ClusterMethod::Hierarchical(linkage) => {
-            Agglomerative::new(linkage).fit_from_distances(dist, rows.n_rows(), k)
+    }
+
+    /// One clustering of the `n` rows into `k` groups.
+    fn cluster(
+        &self,
+        config: &TdacConfig,
+        dist: &[f64],
+        n: usize,
+        k: usize,
+        observer: &Observer,
+    ) -> Result<Vec<usize>, ClusterError> {
+        match self {
+            Self::KMeans(sweep) => Ok(sweep.fit(k)?.assignments),
+            Self::Pam => {
+                let cfg = PamConfig {
+                    seed: config.seed,
+                    ..PamConfig::with_k(k)
+                };
+                Ok(Pam::new(cfg)
+                    .fit_from_distances_observed(dist, n, observer)?
+                    .assignments)
+            }
+            Self::Hierarchical(linkage) => {
+                Agglomerative::new(*linkage).fit_from_distances(dist, n, k)
+            }
         }
     }
 }
@@ -310,7 +335,8 @@ fn cluster_cached(
 /// (dense and masked) and the incremental session all call it. Every
 /// k of `ks` is clustered with `method` and scored from the shared
 /// distance matrix `dist` (one row of `rows` per attribute), under the
-/// run's kernel policy and observer in `opts`.
+/// run's kernel policy and observer in `opts`; k-means fits every k
+/// from one [`KMeansSweep`] built for the largest.
 /// Independent k values run in parallel, each under panic isolation: a
 /// panicking worker (clusterer bug, poisoned data) surfaces as
 /// [`TdacError::WorkerPanic`] naming the k, never an abort. Under an
@@ -328,6 +354,7 @@ pub(crate) fn sweep(
     let n = rows.n_rows();
     let obs = &opts.observer;
     let _sweep = obs.span("k_sweep");
+    let clusterer = SweepClusterer::new(config, method, rows, ks, opts);
     ks.par_iter()
         .map(|&k| {
             if budget.is_some_and(|b| b.interrupted().is_some()) {
@@ -338,7 +365,7 @@ pub(crate) fn sweep(
                 obs.incr(Counter::DistCacheHits, 1);
                 let assignments = {
                     let _c = obs.span("cluster");
-                    cluster_cached(config, method, rows, dist, k, opts)?
+                    clusterer.cluster(config, dist, n, k, obs)?
                 };
                 let sil = silhouette_paper_dist(dist, n, &assignments);
                 Ok(Some((assignments, sil)))
@@ -822,7 +849,7 @@ impl Tdac {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use clustering::{Linkage, Matrix};
+    use clustering::{KMeans, Matrix};
     use crate::config::{MetricKind, Parallelism};
     use crate::truth_vectors::truth_vector_set;
     use td_algorithms::{Accu, MajorityVote};

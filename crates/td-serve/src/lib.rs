@@ -164,6 +164,24 @@ mod tests {
     }
 
     #[test]
+    fn deeply_nested_line_is_a_bad_request() {
+        // One 20 KB line of `[` used to overflow a worker thread's stack
+        // and abort the whole server.
+        let (mut server, mut client) = serve();
+        let mut line = "[".repeat(20_000).into_bytes();
+        line.push(b'\n');
+        let resp = client.send_raw(&line).unwrap();
+        let ResponseBody::Error(err) = resp.body else {
+            panic!("expected error body, got {:?}", resp.body);
+        };
+        assert_eq!(err.kind, WireErrorKind::BadRequest);
+        assert!(err.message.contains("nesting"), "{}", err.message);
+        let resp = client.query(TruthQuery::Object("o2".into()), None).unwrap();
+        assert!(matches!(resp.body, ResponseBody::Query(_)));
+        server.shutdown();
+    }
+
+    #[test]
     fn conflicting_batch_is_rejected_with_entity_names() {
         let (mut server, mut client) = serve();
         let resp = client

@@ -280,6 +280,29 @@ mod tests {
         assert_eq!(back, req);
     }
 
+    /// Whether `line` fails to parse as a `T` on a thread with the 2 MiB
+    /// stack the server's workers get, where a parser without a nesting
+    /// cap overflows the stack instead.
+    fn rejected_on_a_worker_stack<T: serde::Deserialize>(line: String) -> bool {
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || serde_json::from_str::<T>(&line).is_err())
+            .expect("spawn a parsing thread")
+            .join()
+            .expect("parsing never panics")
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        assert!(rejected_on_a_worker_stack::<Request>("[".repeat(20_000)));
+        assert!(rejected_on_a_worker_stack::<Request>(
+            r#"{"op":"#.repeat(20_000)
+        ));
+        // A legal nest at the cap still parses as JSON.
+        let nest = "[".repeat(128) + &"]".repeat(128);
+        assert!(!rejected_on_a_worker_stack::<serde_json::Value>(nest));
+    }
+
     #[test]
     fn request_id_and_deadline_default() {
         let req: Request =

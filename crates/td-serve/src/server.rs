@@ -76,11 +76,12 @@ impl Default for ServeConfig {
 
 /// The immutable state one generation's queries answer against. Its
 /// dataset shares storage with the session's (a `Dataset` clone is
-/// O(1)), so publishing a generation copies no claims.
+/// O(1)) and its outcome is the session's own, so publishing a
+/// generation copies no claims and no predictions.
 struct Snapshot {
     generation: u64,
     dataset: Dataset,
-    outcome: TdacOutcome,
+    outcome: Arc<TdacOutcome>,
 }
 
 /// State shared by every worker.
@@ -185,7 +186,7 @@ impl Server {
         let snapshot = Snapshot {
             generation: 0,
             dataset: session.dataset().clone(),
-            outcome: session.outcome().clone(),
+            outcome: session.shared_outcome(),
         };
         let base_limits = session.config().limits.clone();
         let shared = Arc::new(Shared {
@@ -496,7 +497,7 @@ fn handle_ingest(
             shared.publish(Snapshot {
                 generation,
                 dataset: session.dataset().clone(),
-                outcome: report.outcome.clone(),
+                outcome: Arc::clone(&report.outcome),
             });
             drop(session);
             Response {

@@ -164,6 +164,25 @@ mod tests {
     }
 
     #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        // Worker stdout lines and job lines go through the same parser as
+        // the server's requests; a line of `[` must fail to parse on a
+        // std-default 2 MiB thread instead of overflowing its stack.
+        fn rejected<T: serde::Deserialize>(line: String) -> bool {
+            std::thread::Builder::new()
+                .stack_size(2 << 20)
+                .spawn(move || serde_json::from_str::<T>(&line).is_err())
+                .expect("spawn a parsing thread")
+                .join()
+                .expect("parsing never panics")
+        }
+        assert!(rejected::<ShardMsg>("[".repeat(20_000)));
+        assert!(rejected::<ShardJob>("[".repeat(20_000)));
+        let nest = "[".repeat(128) + &"]".repeat(128);
+        assert!(!rejected::<serde_json::Value>(nest));
+    }
+
+    #[test]
     fn messages_round_trip() {
         let mut result = TruthResult::with_sources(2, 0.0);
         result.iterations = 1;

@@ -7,7 +7,7 @@
 //! [`KernelPolicy::Packed`], compares the two results with `to_bits`
 //! equality, and checks non-vacuity through the observer: the dense fit
 //! must report `kmeans_packed_fits == 0`, the packed fit `> 0`.
-//! [`random_binary`] and [`exam62_truth_vectors`] supply the inputs the
+//! [`random_binary`] and [`exam_truth_vectors`] supply the inputs the
 //! `tests/kmeans.rs` grid sweeps.
 
 use clustering::{DistanceOptions, KMeans, KMeansConfig, KMeansResult, KernelPolicy, Matrix};
@@ -154,7 +154,13 @@ pub fn random_binary(
 /// students (false range 100) under TruthFinder — the 62×248 matrix the
 /// `exam62_sweep` benchmark workload clusters at every k.
 pub fn exam62_truth_vectors(seed: u64) -> TruthVectors {
-    let mut config = ExamConfig::new(62, 100);
+    exam_truth_vectors(62, seed)
+}
+
+/// The truth vectors of the Exam simulator at `questions` questions
+/// (false range 100) under TruthFinder: one row per question.
+pub fn exam_truth_vectors(questions: usize, seed: u64) -> TruthVectors {
+    let mut config = ExamConfig::new(questions, 100);
     config.seed = seed;
     let (dataset, _) = generate_exam(&config);
     truth_vector_set(

@@ -70,6 +70,17 @@ for _ in $(seq 1 100); do
     sleep 0.1
 done
 [[ -n "${addr:-}" ]] || { echo "verify: tdc serve never printed its address" >&2; exit 1; }
+# A hostile client first, on its own connection: one 20,000-deep line of
+# `[` must get a typed BadRequest and leave the server up for the
+# well-behaved query below.
+deep="$(printf '%20000s' '' | tr ' ' '[')"
+exec 3<>"/dev/tcp/${addr%:*}/${addr##*:}"
+printf '%s\n' "$deep" >&3
+IFS= read -r -t 30 reply <&3 || reply=""
+exec 3<&- 3>&-
+[[ "$reply" == *BadRequest* ]] \
+    || { echo "verify: a deeply nested request line got no BadRequest: ${reply:0:200}" >&2; exit 1; }
+echo "deeply nested request line rejected with BadRequest"
 "$tdc" query --addr "$addr" --deadline-ms 30000 --output "$serve_tmp/served.json"
 kill "$serve_pid" 2>/dev/null || true
 wait "$serve_pid" 2>/dev/null || true
