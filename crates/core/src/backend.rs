@@ -1,13 +1,9 @@
 //! Where a TD-AC run executes: the unified `ExecutionBackend` knob.
 //!
-//! Before this module the config carried two loose parallelism knobs
-//! (`parallelism`, `kernel`) and no way to express multi-process
-//! execution at all. [`ExecutionBackend`] collapses them into one typed
-//! choice: run everything inside this process under a rayon pool
-//! ([`ExecutionBackend::InProcess`]), or distribute the per-group base
-//! runs across worker *processes* according to a [`ShardPlan`]
-//! ([`ExecutionBackend::Sharded`]). The legacy fields remain as
-//! doc-deprecated shims for one release — see
+//! [`ExecutionBackend`] is one typed choice: run everything inside this
+//! process under a rayon pool ([`ExecutionBackend::InProcess`]), or
+//! distribute the per-group base runs across worker *processes*
+//! according to a [`ShardPlan`] ([`ExecutionBackend::Sharded`]). See
 //! [`crate::TdacConfig::effective_parallelism`].
 //!
 //! The sharded backend is *planned* here (the types live in the core
@@ -21,7 +17,6 @@
 use serde::{Deserialize, Serialize};
 
 use crate::config::Parallelism;
-use clustering::KernelPolicy;
 
 /// How claims are partitioned across worker processes.
 ///
@@ -336,12 +331,9 @@ impl ShardPlan {
 /// The unified execution knob on [`crate::TdacConfig`].
 ///
 /// Serialized configs from before this knob existed deserialize to
-/// [`ExecutionBackend::default`] (in-process, auto parallelism), and
-/// the legacy `parallelism` / `kernel` fields still win whenever the
-/// backend carries the corresponding default — so every pre-existing
-/// config keeps its exact meaning. See
-/// [`crate::TdacConfig::effective_parallelism`] /
-/// [`crate::TdacConfig::effective_kernel`] for the resolution rule.
+/// [`ExecutionBackend::default`] (in-process, auto parallelism). See
+/// [`crate::TdacConfig::effective_parallelism`] for the resolution
+/// rule.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ExecutionBackend {
     /// Everything runs inside this process under a rayon pool — the
@@ -350,9 +342,6 @@ pub enum ExecutionBackend {
         /// Thread budget for every parallel kernel (distance matrices,
         /// the k-sweep, per-group runs).
         parallelism: Parallelism,
-        /// Kernel policy for the shared pairwise matrix and the k-means
-        /// fits.
-        kernels: KernelPolicy,
     },
     /// The per-group base runs are distributed across worker processes
     /// by the `td-shard` coordinator according to the plan.
@@ -366,10 +355,9 @@ impl Serialize for ExecutionBackend {
     fn to_value(&self) -> serde::Value {
         let mut outer = serde::Map::new();
         match self {
-            ExecutionBackend::InProcess { parallelism, kernels } => {
+            ExecutionBackend::InProcess { parallelism } => {
                 let mut m = serde::Map::new();
                 m.insert("parallelism".to_string(), parallelism.to_value());
-                m.insert("kernels".to_string(), kernels.to_value());
                 outer.insert("InProcess".to_string(), serde::Value::Object(m));
             }
             ExecutionBackend::Sharded(plan) => {
@@ -389,16 +377,14 @@ impl Deserialize for ExecutionBackend {
             let m = inner.as_object().ok_or_else(|| {
                 serde::Error::custom("expected object payload for ExecutionBackend::InProcess")
             })?;
+            // Configs written while `InProcess` still carried a
+            // `kernels` key load too: every kernel policy gives the
+            // same bits, so the key is ignored.
             return Ok(ExecutionBackend::InProcess {
                 parallelism: match m.get("parallelism") {
                     Some(fv) => Deserialize::from_value(fv)
                         .map_err(|e| e.context("InProcess.parallelism"))?,
                     None => Parallelism::default(),
-                },
-                kernels: match m.get("kernels") {
-                    Some(fv) => Deserialize::from_value(fv)
-                        .map_err(|e| e.context("InProcess.kernels"))?,
-                    None => KernelPolicy::default(),
                 },
             });
         }
@@ -415,22 +401,14 @@ impl Deserialize for ExecutionBackend {
 
 impl Default for ExecutionBackend {
     fn default() -> Self {
-        ExecutionBackend::InProcess {
-            parallelism: Parallelism::default(),
-            kernels: KernelPolicy::default(),
-        }
+        ExecutionBackend::in_process(Parallelism::default())
     }
 }
 
 impl ExecutionBackend {
-    /// An in-process backend with the given thread budget and the
-    /// default kernel policy — the terse spelling for call sites that
-    /// only care about parallelism.
+    /// An in-process backend with the given thread budget.
     pub fn in_process(parallelism: Parallelism) -> Self {
-        ExecutionBackend::InProcess {
-            parallelism,
-            kernels: KernelPolicy::default(),
-        }
+        ExecutionBackend::InProcess { parallelism }
     }
 
     /// Whether this backend distributes work across processes.
@@ -466,7 +444,6 @@ mod tests {
             b,
             ExecutionBackend::InProcess {
                 parallelism: Parallelism::Auto,
-                kernels: KernelPolicy::Auto,
             }
         );
         assert!(!b.is_sharded());
@@ -599,13 +576,13 @@ mod tests {
     }
 
     #[test]
-    fn in_process_helper_uses_default_kernels() {
+    fn in_process_kernels_key_is_ignored_on_load() {
+        let json = r#"{"InProcess":{"parallelism":{"Threads":2},"kernels":"Dense"}}"#;
+        let b: ExecutionBackend = serde_json::from_str(json).unwrap();
+        assert_eq!(b, ExecutionBackend::in_process(Parallelism::Threads(2)));
         assert_eq!(
-            ExecutionBackend::in_process(Parallelism::Threads(2)),
-            ExecutionBackend::InProcess {
-                parallelism: Parallelism::Threads(2),
-                kernels: KernelPolicy::default(),
-            }
+            serde_json::to_string(&b).unwrap(),
+            r#"{"InProcess":{"parallelism":{"Threads":2}}}"#
         );
     }
 }

@@ -127,31 +127,26 @@ pub struct TdacConfig {
     /// coordinates (see [`crate::masked`]) using PAM, instead of plain
     /// k-means over Eq. 1 vectors. Helps on sparse data (low DCR).
     pub missing_aware: bool,
-    /// **Deprecated shim** — use [`TdacConfig::backend`] with
-    /// [`ExecutionBackend::InProcess`] instead; this field will be
-    /// removed after one release. Which kernels the shared pairwise
-    /// matrix and the k-means fits may use: [`KernelPolicy::Auto`]
-    /// (default) picks the bit-packed kernels whenever the truth vectors
-    /// are binary (for the matrix, when the metric also counts bit
-    /// disagreements); `Dense` pins the `f64` reference paths; `Packed`
-    /// insists on packing where representable. All three are
-    /// bit-identical — this is a performance/verification knob, never a
-    /// semantics switch (see `docs/KERNELS.md`). Absent in serialized
-    /// configs from before the knob existed, so it deserializes via
-    /// `Default`. Still honoured whenever the backend carries the
-    /// default kernel policy (see [`TdacConfig::effective_kernel`]).
+    /// Which kernels the shared pairwise matrix and the k-means fits
+    /// may use, in-process and in a sharded coordinator's model
+    /// selection alike: [`KernelPolicy::Auto`] (default) picks the
+    /// bit-packed kernels whenever the truth vectors are binary (for
+    /// the matrix, when the metric also counts bit disagreements);
+    /// `Dense` pins the `f64` reference paths; `Packed` insists on
+    /// packing where representable. All three are bit-identical — this
+    /// is a performance/verification knob, never a semantics switch
+    /// (see `docs/KERNELS.md`). Absent in serialized configs from
+    /// before the knob existed, so it deserializes via `Default`.
     #[serde(default)]
     pub kernel: KernelPolicy,
     /// Where runs of this config execute: in-process under a rayon pool
     /// (the default) or distributed across worker processes by the
-    /// `td-shard` coordinator. This is the *unified* parallelism knob —
-    /// the loose `parallelism` / `kernel` fields above are deprecated
-    /// shims that only apply while the backend carries the
-    /// corresponding defaults. Absent in serialized configs from before
-    /// the knob existed, so legacy configs deserialize to the
-    /// in-process default. [`crate::Tdac::run`] rejects a sharded
-    /// backend with a typed error; use `td_shard::ShardRunner` (or
-    /// `tdc shard`) to execute one.
+    /// `td-shard` coordinator. This is the one parallelism knob. Absent
+    /// in serialized configs from before the knob existed, so legacy
+    /// configs deserialize to the in-process default.
+    /// [`crate::Tdac::run`] rejects a sharded backend with a typed
+    /// error; use `td_shard::ShardRunner` (or `tdc shard`) to execute
+    /// one.
     #[serde(default)]
     pub backend: ExecutionBackend,
     /// Execution budgets and cooperative cancellation for every run of
@@ -219,7 +214,7 @@ impl TdacConfig {
     /// sole authority.
     pub fn effective_parallelism(&self) -> Parallelism {
         match &self.backend {
-            ExecutionBackend::InProcess { parallelism, .. } => *parallelism,
+            ExecutionBackend::InProcess { parallelism } => *parallelism,
             ExecutionBackend::Sharded(_) => Parallelism::default(),
         }
     }
@@ -237,15 +232,9 @@ impl TdacConfig {
     }
 
     /// The kernel policy the shared pairwise matrix and the k-means
-    /// fits actually use; same resolution rule as
-    /// [`TdacConfig::effective_parallelism`].
+    /// fits use: [`TdacConfig::kernel`].
     pub fn effective_kernel(&self) -> KernelPolicy {
-        match &self.backend {
-            ExecutionBackend::InProcess { kernels, .. } if *kernels != KernelPolicy::Auto => {
-                *kernels
-            }
-            _ => self.kernel,
-        }
+        self.kernel
     }
 
     /// The options every distance-matrix build and k-means fit of one
@@ -316,33 +305,23 @@ impl TdacConfigBuilder {
 
     /// Thread budget for every parallel kernel — a convenience that
     /// rewrites the backend to [`ExecutionBackend::InProcess`] with the
-    /// given parallelism, preserving an in-process backend's kernel
-    /// policy (a previously set sharded backend is replaced; set
-    /// parallelism through the [`crate::ShardPlan`] in that case).
+    /// given parallelism (a previously set sharded backend is replaced;
+    /// set parallelism through the [`crate::ShardPlan`] in that case).
     pub fn parallelism(mut self, parallelism: Parallelism) -> Self {
-        let kernels = match self.config.backend {
-            ExecutionBackend::InProcess { kernels, .. } => kernels,
-            ExecutionBackend::Sharded(_) => KernelPolicy::default(),
-        };
-        self.config.backend = ExecutionBackend::InProcess { parallelism, kernels };
+        self.config.backend = ExecutionBackend::in_process(parallelism);
         self
     }
 
-    /// Distance-kernel policy for the shared pairwise matrix
-    /// (bit-identical under every setting).
-    ///
-    /// **Deprecated shim** — prefer [`TdacConfigBuilder::backend`] with
-    /// [`ExecutionBackend::InProcess`]; kept for one release so
-    /// existing callers migrate without breakage.
+    /// Kernel policy for the shared pairwise matrix and the k-means
+    /// fits (bit-identical under every setting).
     pub fn kernel(mut self, kernel: KernelPolicy) -> Self {
         self.config.kernel = kernel;
         self
     }
 
-    /// Execution backend: in-process (with its parallelism and kernel
-    /// policy in one place) or sharded across worker processes. The
-    /// unified replacement for the deprecated `parallelism` / `kernel`
-    /// knobs; validated by `build()` (zero shards are rejected).
+    /// Execution backend: in-process with its parallelism, or sharded
+    /// across worker processes; validated by `build()` (zero shards
+    /// are rejected).
     pub fn backend(mut self, backend: ExecutionBackend) -> Self {
         self.config.backend = backend;
         self
@@ -644,28 +623,31 @@ mod tests {
             serde_json::from_value(&serde_json::Value::Object(stripped)).unwrap();
         assert_eq!(back.backend, ExecutionBackend::default());
         assert!(!back.backend.is_sharded());
-        // The removed field no longer steers anything; the kernel shim
-        // (still in its deprecation window) does.
+        // The removed field no longer steers anything.
         assert_eq!(back.effective_parallelism(), Parallelism::Auto);
         assert_eq!(back.effective_kernel(), KernelPolicy::Packed);
     }
 
     #[test]
-    fn backend_wins_over_legacy_kernel_field_when_explicit() {
-        let c = TdacConfig {
-            kernel: KernelPolicy::Packed, // legacy shim, overridden
-            backend: ExecutionBackend::InProcess {
-                parallelism: Parallelism::Threads(2),
-                kernels: KernelPolicy::Dense,
-            },
-            ..Default::default()
-        };
-        assert_eq!(c.effective_parallelism(), Parallelism::Threads(2));
-        assert_eq!(c.effective_kernel(), KernelPolicy::Dense);
-        // A default backend defers to the legacy kernel shim, and a
-        // sharded backend resolves coordinator parallelism to Auto.
-        let c = TdacConfig {
+    fn kernel_field_is_the_only_kernel_knob() {
+        // Configs written while `InProcess` carried its own `kernels`
+        // key still load; the key is ignored and `kernel` decides, for a
+        // sharded backend too.
+        let json = serde_json::to_string(&TdacConfig {
             kernel: KernelPolicy::Packed,
+            ..Default::default()
+        })
+        .unwrap()
+        .replace(
+            r#""InProcess":{"parallelism":"Auto"}"#,
+            r#""InProcess":{"parallelism":{"Threads":2},"kernels":"Dense"}"#,
+        );
+        assert!(json.contains("kernels"), "{json}");
+        let c: TdacConfig = serde_json::from_str(&json).unwrap();
+        assert_eq!(c.effective_parallelism(), Parallelism::Threads(2));
+        assert_eq!(c.effective_kernel(), KernelPolicy::Packed);
+        let c = TdacConfig {
+            kernel: KernelPolicy::Dense,
             backend: ExecutionBackend::Sharded(crate::backend::ShardPlan::new(
                 crate::backend::ShardStrategy::ByAttributeGroup,
                 2,
@@ -673,7 +655,7 @@ mod tests {
             ..Default::default()
         };
         assert_eq!(c.effective_parallelism(), Parallelism::Auto);
-        assert_eq!(c.effective_kernel(), KernelPolicy::Packed);
+        assert_eq!(c.effective_kernel(), KernelPolicy::Dense);
     }
 
     #[test]

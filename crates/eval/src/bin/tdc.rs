@@ -63,7 +63,7 @@ use td_store::{section_table, DatasetStore};
 use td_serve::{Client, ResponseBody, ServeConfig, Server, WireClaim};
 use td_shard::ShardRunner;
 use tdac_core::{
-    ExecutionBackend, ExecutionLimits, KernelPolicy, Parallelism, QueryResponse,
+    ExecutionBackend, ExecutionLimits, Parallelism, QueryResponse,
     RepartitionPolicy, ShardPlan, ShardStrategy, Tdac, TdacConfig, TdacOutcome, TdacSession,
     TruthQuery,
 };
@@ -341,18 +341,12 @@ fn cmd_stream(args: &[String]) -> ExitCode {
         eprintln!("stream wants at least one --batch\n{USAGE}");
         return ExitCode::FAILURE;
     }
-    let policy = match flag_value(args, "--policy").as_deref() {
-        // Default to the mode whose outcome is bit-identical to a
-        // from-scratch `tdc run --tdac` on the accumulated claims.
-        None | Some("always") => RepartitionPolicy::Always,
-        Some("never") => RepartitionPolicy::Never,
-        Some(p) => match p.strip_prefix("drift:").and_then(|t| t.parse::<f64>().ok()) {
-            Some(t) => RepartitionPolicy::OnDrift(t),
-            None => {
-                eprintln!("--policy wants always, never, or drift:<threshold>, got {p:?}");
-                return ExitCode::FAILURE;
-            }
-        },
+    let policy = match parse_policy(args) {
+        Ok(p) => p,
+        Err(e) => {
+            eprintln!("{e}");
+            return ExitCode::FAILURE;
+        }
     };
     let output = flag_value(args, "--output");
 
@@ -636,10 +630,7 @@ fn parse_backend(args: &[String], force_sharded: bool) -> Result<ExecutionBacken
                     .to_string(),
             );
         }
-        return Ok(ExecutionBackend::InProcess {
-            parallelism,
-            kernels: KernelPolicy::Auto,
-        });
+        return Ok(ExecutionBackend::in_process(parallelism));
     }
     let shards = match flag_value(args, "--shards") {
         Some(n) => match n.parse::<usize>() {
@@ -695,6 +686,23 @@ fn parse_backend(args: &[String], force_sharded: bool) -> Result<ExecutionBacken
         }
     }
     Ok(ExecutionBackend::Sharded(plan))
+}
+
+/// `--policy` for `stream` and `serve`: `always` (the default, whose
+/// outcome is bit-identical to a from-scratch `tdc run --tdac` on the
+/// accumulated claims), `never`, or `drift:<threshold>`.
+fn parse_policy(args: &[String]) -> Result<RepartitionPolicy, String> {
+    match flag_value(args, "--policy").as_deref() {
+        None | Some("always") => Ok(RepartitionPolicy::Always),
+        Some("never") => Ok(RepartitionPolicy::Never),
+        Some(p) => p
+            .strip_prefix("drift:")
+            .and_then(|t| t.parse::<f64>().ok())
+            .map(RepartitionPolicy::OnDrift)
+            .ok_or_else(|| {
+                format!("--policy wants always, never, or drift:<threshold>, got {p:?}")
+            }),
+    }
 }
 
 fn parse_limits(args: &[String]) -> Result<ExecutionLimits, String> {
@@ -813,16 +821,12 @@ fn cmd_serve(args: &[String]) -> ExitCode {
             }
         }
     }
-    let policy = match flag_value(args, "--policy").as_deref() {
-        None | Some("always") => RepartitionPolicy::Always,
-        Some("never") => RepartitionPolicy::Never,
-        Some(p) => match p.strip_prefix("drift:").and_then(|t| t.parse::<f64>().ok()) {
-            Some(t) => RepartitionPolicy::OnDrift(t),
-            None => {
-                eprintln!("--policy wants always, never, or drift:<threshold>, got {p:?}");
-                return ExitCode::FAILURE;
-            }
-        },
+    let policy = match parse_policy(args) {
+        Ok(p) => p,
+        Err(e) => {
+            eprintln!("{e}");
+            return ExitCode::FAILURE;
+        }
     };
     let store = match load_store(&input, None) {
         Some(Ok(s)) => Some(s),

@@ -2,12 +2,13 @@
 //!
 //! One TCP connection, synchronous request/response. `tdc query`, the
 //! integration tests and the throughput bench all drive the server
-//! through this type, so the wire framing lives in exactly one place
-//! per direction.
+//! through this type. Its lines go through `serde_json::line`, the
+//! framing the server and td-shard use too.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 
+use serde_json::line;
 use tdac_core::TruthQuery;
 
 use crate::protocol::{Request, RequestOp, Response, WireClaim};
@@ -45,6 +46,8 @@ impl From<std::io::Error> for ClientError {
 pub struct Client {
     writer: TcpStream,
     reader: BufReader<TcpStream>,
+    /// The response line being read, reused across requests.
+    buf: Vec<u8>,
     next_id: u64,
 }
 
@@ -57,6 +60,7 @@ impl Client {
         Ok(Client {
             writer: stream,
             reader,
+            buf: Vec::new(),
             next_id: 0,
         })
     }
@@ -74,20 +78,8 @@ impl Client {
             deadline_ms,
             op,
         };
-        let mut line = serde_json::to_string(&request)
-            .expect("protocol requests always serialize");
-        line.push('\n');
-        self.writer.write_all(line.as_bytes())?;
-        let mut reply = String::new();
-        let n = self.reader.read_line(&mut reply)?;
-        if n == 0 {
-            return Err(ClientError::Io(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "server closed the connection before responding",
-            )));
-        }
-        let response: Response = serde_json::from_str(reply.trim())
-            .map_err(|e| ClientError::Protocol(e.to_string()))?;
+        line::write(&mut self.writer, &request)?;
+        let response = self.read_response()?;
         if response.id != request.id {
             return Err(ClientError::Protocol(format!(
                 "response id {} does not match request id {}",
@@ -124,15 +116,18 @@ impl Client {
     /// response line back. Test hook for malformed-input coverage.
     pub fn send_raw(&mut self, bytes: &[u8]) -> Result<Response, ClientError> {
         self.writer.write_all(bytes)?;
-        let mut reply = String::new();
-        let n = self.reader.read_line(&mut reply)?;
-        if n == 0 {
+        self.read_response()
+    }
+
+    /// Reads and decodes one response line.
+    fn read_response(&mut self) -> Result<Response, ClientError> {
+        self.buf.clear();
+        if !line::read(&mut self.reader, &mut self.buf, usize::MAX)? {
             return Err(ClientError::Io(std::io::Error::new(
                 std::io::ErrorKind::UnexpectedEof,
                 "server closed the connection before responding",
             )));
         }
-        serde_json::from_str(reply.trim())
-            .map_err(|e| ClientError::Protocol(e.to_string()))
+        line::decode(&self.buf).map_err(|e| ClientError::Protocol(e.to_string()))
     }
 }

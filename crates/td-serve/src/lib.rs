@@ -8,7 +8,8 @@
 //! [`TdacSession::start_store`](tdac_core::TdacSession::start_store).
 //! The protocol is line-delimited JSON (one request per line, one
 //! response per line) built from the workspace's typed query surface —
-//! [`tdac_core::TruthQuery`] in, [`tdac_core::QueryResponse`] out.
+//! [`tdac_core::TruthQuery`] in, [`tdac_core::QueryResponse`] out. A
+//! request line may be at most [`MAX_REQUEST_LINE_BYTES`] long.
 //!
 //! The serving contract, in one paragraph: reads coalesce against the
 //! current *generation snapshot* (an immutable `Arc` swapped in after
@@ -53,7 +54,7 @@ pub use protocol::{
     claims_to_batch, IngestAck, Request, RequestOp, Response, ResponseBody,
     ServerStats, WireClaim, WireError, WireErrorKind,
 };
-pub use server::{BoxedBase, ServeConfig, Server};
+pub use server::{BoxedBase, ServeConfig, Server, MAX_REQUEST_LINE_BYTES};
 
 #[cfg(test)]
 mod tests {
@@ -176,6 +177,41 @@ mod tests {
         };
         assert_eq!(err.kind, WireErrorKind::BadRequest);
         assert!(err.message.contains("nesting"), "{}", err.message);
+        let resp = client.query(TruthQuery::Object("o2".into()), None).unwrap();
+        assert!(matches!(resp.body, ResponseBody::Query(_)));
+        server.shutdown();
+    }
+
+    #[test]
+    fn over_cap_line_is_a_bad_request_then_a_close() {
+        use std::io::{Read, Write};
+        // A line that never ends used to grow a worker's buffer without
+        // bound while the reply never came.
+        let (mut server, client) = serve();
+        drop(client);
+        let mut raw = std::net::TcpStream::connect(server.local_addr()).unwrap();
+        raw.set_read_timeout(Some(std::time::Duration::from_secs(30)))
+            .unwrap();
+        // Exactly cap + 1 bytes: bytes left unread at the close would
+        // make it a reset, which can swallow the reply.
+        raw.write_all(&vec![b'x'; MAX_REQUEST_LINE_BYTES + 1])
+            .unwrap();
+        let mut reply = String::new();
+        raw.read_to_string(&mut reply)
+            .expect("one reply, then a close");
+        assert_eq!(reply.lines().count(), 1, "{reply}");
+        let resp: Response = serde_json::from_str(reply.trim()).unwrap();
+        assert_eq!(resp.id, 0);
+        let ResponseBody::Error(err) = resp.body else {
+            panic!("expected error body, got {:?}", resp.body);
+        };
+        assert_eq!(err.kind, WireErrorKind::BadRequest);
+        assert!(
+            err.message.contains(&MAX_REQUEST_LINE_BYTES.to_string()),
+            "{}",
+            err.message
+        );
+        let mut client = Client::connect(server.local_addr()).unwrap();
         let resp = client.query(TruthQuery::Object("o2".into()), None).unwrap();
         assert!(matches!(resp.body, ResponseBody::Query(_)));
         server.shutdown();

@@ -22,13 +22,14 @@
 //!   batch degrades (flagged, best-so-far) rather than stalling the
 //!   queue indefinitely.
 
-use std::io::{BufRead, BufReader, ErrorKind, Write};
+use std::io::{BufReader, ErrorKind};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use serde_json::line;
 use td_algorithms::TruthDiscovery;
 use td_model::Dataset;
 use td_obs::{ExecutionLimits, Observer};
@@ -46,6 +47,12 @@ pub type BoxedBase = Box<dyn TruthDiscovery + Send + Sync>;
 /// How long a blocked connection read waits before re-checking the
 /// shutdown flag. Bounds shutdown latency for idle connections.
 const READ_POLL: Duration = Duration::from_millis(100);
+
+/// The longest request line the server reads, in bytes, not counting
+/// its `\n`. A longer line gets one `BadRequest` with `id: 0` and then
+/// the connection closes, since the server cannot find where the next
+/// line starts. A 2,000-object DS1 ingest is a 9.19 MB line.
+pub const MAX_REQUEST_LINE_BYTES: usize = 16 << 20;
 
 /// Server tuning knobs.
 #[derive(Debug, Clone)]
@@ -276,7 +283,8 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
 }
 
 /// Serves one connection: reads request lines, writes response lines,
-/// until the client closes, a write fails, or the server shuts down.
+/// until the client closes, a write fails, a line passes
+/// [`MAX_REQUEST_LINE_BYTES`], or the server shuts down.
 fn serve_connection(stream: TcpStream, shared: &Shared) {
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(READ_POLL));
@@ -285,66 +293,41 @@ fn serve_connection(stream: TcpStream, shared: &Shared) {
         Err(_) => return,
     };
     let mut reader = BufReader::new(stream);
-    let mut line: Vec<u8> = Vec::new();
+    let mut buf: Vec<u8> = Vec::new();
     loop {
-        match reader.read_until(b'\n', &mut line) {
-            // EOF: serve a final unterminated line, then close.
-            Ok(0) => return,
-            Ok(_) if !line.ends_with(b"\n") => {
-                let _ = respond(&mut writer, handle_line(shared, &line));
-                return;
-            }
-            Ok(_) => {
-                let response = handle_line(shared, &line);
-                line.clear();
-                if respond(&mut writer, response).is_err() {
-                    return;
-                }
-            }
-            // Read timeout: poll the shutdown flag, keep accumulated
-            // partial-line bytes in `line` and continue reading.
-            Err(e)
-                if e.kind() == ErrorKind::WouldBlock
-                    || e.kind() == ErrorKind::TimedOut =>
-            {
+        let (response, close) = match line::read(&mut reader, &mut buf, MAX_REQUEST_LINE_BYTES) {
+            Ok(true) => (handle_line(shared, &buf), false),
+            Ok(false) => return,
+            // Read timeout: poll the shutdown flag; `buf` keeps the
+            // partial line for the next read.
+            Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
                 if shared.shutdown.load(Ordering::Acquire) {
                     return;
                 }
+                continue;
+            }
+            // The line passed the cap.
+            Err(e) if e.kind() == ErrorKind::InvalidData => {
+                let error = WireError::new(
+                    WireErrorKind::BadRequest,
+                    format!("request line longer than {MAX_REQUEST_LINE_BYTES} bytes; closing the connection"),
+                );
+                (error_response(shared, 0, error), true)
             }
             Err(_) => return,
+        };
+        buf.clear();
+        if line::write(&mut writer, &response).is_err() || close {
+            return;
         }
     }
-}
-
-fn respond(writer: &mut TcpStream, response: Response) -> std::io::Result<()> {
-    let mut out = serde_json::to_string(&response)
-        .expect("protocol responses always serialize");
-    out.push('\n');
-    writer.write_all(out.as_bytes())
 }
 
 /// Parses and executes one request line. Every outcome — including a
 /// line that is not valid JSON — is a [`Response`].
-fn handle_line(shared: &Shared, line: &[u8]) -> Response {
+fn handle_line(shared: &Shared, bytes: &[u8]) -> Response {
     let received = Instant::now();
-    let text = match std::str::from_utf8(line) {
-        Ok(t) => t.trim(),
-        Err(_) => {
-            return error_response(
-                shared,
-                0,
-                WireError::new(WireErrorKind::BadRequest, "request is not UTF-8"),
-            )
-        }
-    };
-    if text.is_empty() {
-        return error_response(
-            shared,
-            0,
-            WireError::new(WireErrorKind::BadRequest, "empty request line"),
-        );
-    }
-    let request: Request = match serde_json::from_str(text) {
+    let request: Request = match line::decode(bytes) {
         Ok(r) => r,
         Err(e) => {
             return error_response(

@@ -61,13 +61,14 @@
 //! phase is refused. A partial merge is never an option on any rung.
 
 use std::collections::{BTreeMap, HashMap};
-use std::io::{BufRead, BufReader, Write};
+use std::io::BufReader;
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
+use serde_json::line;
 use td_algorithms::registry::algorithm_by_name;
 use td_algorithms::{TruthDiscovery, TruthResult};
 use td_model::{AttributeId, Dataset};
@@ -376,40 +377,34 @@ impl ShardRunner {
             cmd.env(k, v);
         }
         let mut child = cmd.spawn()?;
-        let line = serde_json::to_string(job).map_err(|e| ShardError::Protocol {
-            shard,
-            detail: format!("encoding job: {e}"),
-        })?;
-        {
-            let mut stdin = child.stdin.take().expect("stdin piped");
-            writeln!(stdin, "{line}")?;
-        } // close stdin: the worker reads exactly one line
-        let stdout = child.stdout.take().expect("stdout piped");
+        // The worker reads exactly one line; dropping stdin closes it.
+        line::write(&mut child.stdin.take().expect("stdin piped"), job)?;
+        let mut stdout = BufReader::new(child.stdout.take().expect("stdout piped"));
         // Every event is tagged with the attempt it belongs to, so the
         // supervisor can discard messages a killed predecessor left in
         // flight after a re-spawn.
         let attempt = job.attempt;
         let reader = std::thread::spawn(move || {
-            let mut lines = BufReader::new(stdout).lines();
+            let mut buf = Vec::new();
             loop {
-                match lines.next() {
-                    Some(Ok(line)) => {
-                        let event = match serde_json::from_str::<ShardMsg>(&line) {
-                            Ok(msg) => Event::Msg(shard, attempt, msg),
-                            Err(e) => Event::Bad(shard, attempt, format!("unparseable line: {e}")),
-                        };
-                        if tx.send(event).is_err() {
-                            return; // coordinator gave up
-                        }
-                    }
-                    Some(Err(e)) => {
-                        let _ = tx.send(Event::Bad(shard, attempt, format!("reading stdout: {e}")));
-                        return;
-                    }
-                    None => {
-                        let _ = tx.send(Event::Eof(shard, attempt));
-                        return;
-                    }
+                let (event, more) = match line::read(&mut stdout, &mut buf, usize::MAX) {
+                    Ok(true) => match line::decode::<ShardMsg>(&buf) {
+                        Ok(msg) => (Event::Msg(shard, attempt, msg), true),
+                        Err(e) => (
+                            Event::Bad(shard, attempt, format!("unparseable line: {e}")),
+                            true,
+                        ),
+                    },
+                    Ok(false) => (Event::Eof(shard, attempt), false),
+                    Err(e) => (
+                        Event::Bad(shard, attempt, format!("reading stdout: {e}")),
+                        false,
+                    ),
+                };
+                buf.clear();
+                // A failed send means the coordinator gave up.
+                if tx.send(event).is_err() || !more {
+                    return;
                 }
             }
         });
@@ -726,30 +721,20 @@ impl Supervisor<'_> {
         let slot = self.slots.get_mut(&shard).expect("fallback slot");
         let mut job = slot.job.clone();
         job.attempt = slot.attempt;
-        let mut buf: Vec<u8> = Vec::new();
-        let code = crate::worker::execute(&job, ChaosAction::None, &mut buf);
-        let text = String::from_utf8_lossy(&buf);
+        let mut msgs: Vec<ShardMsg> = Vec::new();
+        let code = crate::worker::execute(&job, ChaosAction::None, &mut |msg| {
+            msgs.push(msg);
+            Ok(())
+        });
 
         let mut partials: Vec<GroupPartial> = Vec::new();
         let mut degraded: Option<Degradation> = None;
         let mut done = false;
-        for line in text.lines() {
-            match serde_json::from_str::<ShardMsg>(line) {
-                Ok(ShardMsg::Partial(p)) => {
-                    if p.group >= self.groups.len() {
-                        return Err(ShardError::Protocol {
-                            shard,
-                            detail: format!(
-                                "fallback partial for group {} but the partition has {}",
-                                p.group,
-                                self.groups.len()
-                            ),
-                        });
-                    }
-                    partials.push(p);
-                }
-                Ok(ShardMsg::Degraded(d)) => degraded = Some(d),
-                Ok(ShardMsg::Failed(f)) => {
+        for msg in msgs {
+            match msg {
+                ShardMsg::Partial(p) => partials.push(p),
+                ShardMsg::Degraded(d) => degraded = Some(d),
+                ShardMsg::Failed(f) => {
                     return Err(ShardError::ShardFailed {
                         shard,
                         detail: format!(
@@ -758,13 +743,7 @@ impl Supervisor<'_> {
                         ),
                     })
                 }
-                Ok(ShardMsg::Done) => done = true,
-                Err(e) => {
-                    return Err(ShardError::Protocol {
-                        shard,
-                        detail: format!("in-process fallback emitted an unparseable line: {e}"),
-                    })
-                }
+                ShardMsg::Done => done = true,
             }
         }
         if let Some(d) = degraded {

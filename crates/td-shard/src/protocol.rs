@@ -1,10 +1,10 @@
 //! The coordinator ⇄ worker wire protocol.
 //!
-//! Same idiom as td-serve's client protocol: one JSON document per
-//! line, typed on both ends, unknown garbage rejected loudly. The
-//! coordinator writes exactly one [`ShardJob`] line to the worker's
-//! stdin and then closes it; the worker answers with a stream of
-//! [`ShardMsg`] lines on stdout, terminated by [`ShardMsg::Done`].
+//! Same framing as td-serve's protocol, `serde_json::line`: one JSON
+//! document per line, typed on both ends, unknown garbage rejected
+//! loudly. The coordinator writes exactly one [`ShardJob`] line to the
+//! worker's stdin and then closes it; the worker answers with a stream
+//! of [`ShardMsg`] lines on stdout, terminated by [`ShardMsg::Done`].
 //! Anything on stderr is free-form logging and never parsed.
 //!
 //! A worker that exits before `Done` — crash, kill, chaos — is
@@ -118,7 +118,8 @@ pub enum ShardMsg {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use td_model::{DatasetBuilder, Value};
+    use td_model::{DatasetBuilder, ObjectId, Value, ValueId};
+    use td_obs::{DegradationReason, WorkCompleted};
 
     #[test]
     fn job_round_trips_through_json_lines() {
@@ -161,6 +162,79 @@ mod tests {
             serde_json::from_value(&serde_json::Value::Object(stripped)).unwrap();
         assert_eq!(legacy.attempt, 0);
         assert_eq!(legacy.groups, job.groups);
+    }
+
+    /// The lines `docs/SHARDING.md` shows, each the bytes
+    /// `serde_json::line::write` puts on the wire for one value.
+    const DOCUMENTED: [&str; 5] = [
+        r#"{"shard":1,"algorithm":"MajorityVote","store_path":"/tmp/td-shard-4242-0-s1.tds","parallelism":{"Threads":1},"deadline_ms":30000,"attempt":1,"groups":[{"group":0,"attributes":[0,3]},{"group":2,"attributes":[5]}]}"#,
+        r#"{"Partial":{"group":2,"result":{"predictions":[[0,5,1,1.0]],"source_trust":[1.0,0.0],"iterations":1}}}"#,
+        r#"{"Degraded":{"reason":{"Deadline":30000},"phase":"shard_group_run","work":{"distance_evals":0,"fixpoint_iterations":0,"partitions_scanned":0,"elapsed_ms":30002}}}"#,
+        r#"{"Failed":{"phase":"resolve","detail":"unknown base algorithm \"NoSuchAlgorithm\""}}"#,
+        r#""Done""#,
+    ];
+
+    #[test]
+    fn documented_lines_are_the_bytes_on_the_wire() {
+        let job = ShardJob {
+            shard: 1,
+            algorithm: "MajorityVote".into(),
+            store_path: "/tmp/td-shard-4242-0-s1.tds".into(),
+            parallelism: Parallelism::Threads(1),
+            deadline_ms: Some(30_000),
+            attempt: 1,
+            groups: vec![
+                GroupAssignment {
+                    group: 0,
+                    attributes: vec![AttributeId::new(0), AttributeId::new(3)],
+                },
+                GroupAssignment {
+                    group: 2,
+                    attributes: vec![AttributeId::new(5)],
+                },
+            ],
+        };
+        let mut result = TruthResult::with_sources(2, 0.0);
+        result.source_trust[0] = 1.0;
+        result.set_prediction(ObjectId::new(0), AttributeId::new(5), ValueId::new(1), 1.0);
+        result.iterations = 1;
+        let msgs = [
+            ShardMsg::Partial(GroupPartial { group: 2, result }),
+            ShardMsg::Degraded(Degradation {
+                reason: DegradationReason::Deadline(30_000),
+                phase: "shard_group_run".into(),
+                work: WorkCompleted {
+                    elapsed_ms: 30_002,
+                    ..WorkCompleted::default()
+                },
+            }),
+            ShardMsg::Failed(WorkerFailure {
+                phase: "resolve".into(),
+                detail: "unknown base algorithm \"NoSuchAlgorithm\"".into(),
+            }),
+            ShardMsg::Done,
+        ];
+        let mut written = Vec::new();
+        serde_json::line::write(&mut written, &job).unwrap();
+        for msg in &msgs {
+            serde_json::line::write(&mut written, msg).unwrap();
+        }
+        let written = String::from_utf8(written).unwrap();
+        assert_eq!(written, DOCUMENTED.map(|l| format!("{l}\n")).concat());
+
+        let doc = include_str!("../../../docs/SHARDING.md");
+        for documented in DOCUMENTED {
+            assert!(
+                doc.contains(documented),
+                "docs/SHARDING.md lacks {documented}"
+            );
+        }
+        let back: ShardJob = serde_json::line::decode(DOCUMENTED[0].as_bytes()).unwrap();
+        assert_eq!(back, job);
+        for documented in &DOCUMENTED[1..] {
+            let msg: ShardMsg = serde_json::line::decode(documented.as_bytes()).unwrap();
+            assert_eq!(serde_json::to_string(&msg).unwrap(), *documented);
+        }
     }
 
     #[test]

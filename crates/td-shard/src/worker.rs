@@ -12,6 +12,7 @@ use std::io::{BufRead, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Duration;
 
+use serde_json::line;
 use td_algorithms::registry::algorithm_by_name;
 use td_algorithms::TruthDiscovery;
 use td_obs::{Budget, ExecutionLimits, Observer};
@@ -84,30 +85,38 @@ pub fn worker_main() -> i32 {
 
 /// [`worker_main`] over caller-supplied streams, for in-process tests.
 pub fn run_worker(mut input: impl BufRead, mut out: impl Write) -> i32 {
-    let mut line = String::new();
-    if let Err(e) = input.read_line(&mut line) {
-        return fail(&mut out, "load", format!("reading job line: {e}"));
+    let mut emit = |msg: ShardMsg| {
+        line::write(&mut out, &msg)?;
+        out.flush()
+    };
+    let mut buf = Vec::new();
+    if let Err(e) = line::read(&mut input, &mut buf, usize::MAX) {
+        return fail(&mut emit, "load", format!("reading job line: {e}"));
     }
-    let job: ShardJob = match serde_json::from_str(line.trim()) {
+    let job: ShardJob = match line::decode(&buf) {
         Ok(job) => job,
-        Err(e) => return fail(&mut out, "load", format!("parsing job line: {e}")),
+        Err(e) => return fail(&mut emit, "load", format!("parsing job line: {e}")),
     };
     let chaos = chaos_from_env(job.shard, job.attempt);
-    execute(&job, chaos, &mut out)
+    execute(&job, chaos, &mut emit)
 }
 
+/// Where [`execute`] sends each message: stdout lines in a worker
+/// process, a vector in the coordinator's in-process fallback.
+pub(crate) type Sink<'a> = dyn FnMut(ShardMsg) -> std::io::Result<()> + 'a;
+
 /// The worker's group loop over an already-parsed job: load the slice,
-/// resolve the base algorithm, stream partials, finish with `Done`.
-/// Shared verbatim between child processes ([`run_worker`]) and the
-/// coordinator's in-process fallback after exhausted retries — the one
-/// difference is that the fallback pins `chaos` to
+/// resolve the base algorithm, pass each partial to `emit`, finish with
+/// `Done`. Shared verbatim between child processes ([`run_worker`]) and
+/// the coordinator's in-process fallback after exhausted retries — the
+/// one other difference is that the fallback pins `chaos` to
 /// [`ChaosAction::None`].
-pub(crate) fn execute(job: &ShardJob, chaos: ChaosAction, out: &mut impl Write) -> i32 {
+pub(crate) fn execute(job: &ShardJob, chaos: ChaosAction, emit: &mut Sink<'_>) -> i32 {
     let store = match DatasetStore::load(&job.store_path) {
         Ok(store) => store,
         Err(e) => {
             return fail(
-                out,
+                emit,
                 "load",
                 format!("loading slice {:?}: {e}", job.store_path),
             )
@@ -115,7 +124,7 @@ pub(crate) fn execute(job: &ShardJob, chaos: ChaosAction, out: &mut impl Write) 
     };
     let Some(base) = algorithm_by_name(&job.algorithm) else {
         return fail(
-            out,
+            emit,
             "resolve",
             format!("unknown base algorithm {:?}", job.algorithm),
         );
@@ -135,10 +144,10 @@ pub(crate) fn execute(job: &ShardJob, chaos: ChaosAction, out: &mut impl Write) 
             // to catch.
             if let Some(budget) = budget.as_ref() {
                 if let Some(deg) = budget.check("shard_group_run") {
-                    if emit(out, &ShardMsg::Degraded(deg)).is_err() {
+                    if emit(ShardMsg::Degraded(deg)).is_err() {
                         return 1;
                     }
-                    return finish(out);
+                    return finish(emit);
                 }
             }
             let view = store.dataset.view_of(&assignment.attributes);
@@ -146,7 +155,7 @@ pub(crate) fn execute(job: &ShardJob, chaos: ChaosAction, out: &mut impl Write) 
                 Ok(result) => result,
                 Err(_) => {
                     return fail(
-                        out,
+                        emit,
                         "group_run",
                         format!("base algorithm panicked on group {}", assignment.group),
                     )
@@ -156,7 +165,7 @@ pub(crate) fn execute(job: &ShardJob, chaos: ChaosAction, out: &mut impl Write) 
                 group: assignment.group,
                 result,
             };
-            if emit(out, &ShardMsg::Partial(partial)).is_err() {
+            if emit(ShardMsg::Partial(partial)).is_err() {
                 return 1;
             }
             match chaos {
@@ -169,7 +178,7 @@ pub(crate) fn execute(job: &ShardJob, chaos: ChaosAction, out: &mut impl Write) 
             }
         }
         match chaos {
-            ChaosAction::None => finish(out),
+            ChaosAction::None => finish(emit),
             ChaosAction::Exit => 101,
             ChaosAction::Hang => loop {
                 std::thread::sleep(Duration::from_secs(3_600));
@@ -178,27 +187,19 @@ pub(crate) fn execute(job: &ShardJob, chaos: ChaosAction, out: &mut impl Write) 
     })
 }
 
-fn finish(out: &mut impl Write) -> i32 {
-    match emit(out, &ShardMsg::Done) {
+fn finish(emit: &mut Sink<'_>) -> i32 {
+    match emit(ShardMsg::Done) {
         Ok(()) => 0,
         Err(_) => 1,
     }
 }
 
-fn fail(out: &mut impl Write, phase: &str, detail: String) -> i32 {
-    let msg = ShardMsg::Failed(WorkerFailure {
+fn fail(emit: &mut Sink<'_>, phase: &str, detail: String) -> i32 {
+    let _ = emit(ShardMsg::Failed(WorkerFailure {
         phase: phase.to_string(),
         detail,
-    });
-    let _ = emit(out, &msg);
+    }));
     2
-}
-
-fn emit(out: &mut impl Write, msg: &ShardMsg) -> std::io::Result<()> {
-    let line = serde_json::to_string(msg)
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-    writeln!(out, "{line}")?;
-    out.flush()
 }
 
 #[cfg(test)]

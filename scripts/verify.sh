@@ -81,6 +81,18 @@ exec 3<&- 3>&-
 [[ "$reply" == *BadRequest* ]] \
     || { echo "verify: a deeply nested request line got no BadRequest: ${reply:0:200}" >&2; exit 1; }
 echo "deeply nested request line rejected with BadRequest"
+# Then one line of cap + 1 bytes and no `\n` (the cap is
+# td_serve::MAX_REQUEST_LINE_BYTES): a BadRequest naming the cap, then
+# the server closes. Send no more than cap + 1 bytes, since bytes left
+# unread at the close turn it into a reset that can swallow the reply.
+cap=$((16 << 20))
+exec 3<>"/dev/tcp/${addr%:*}/${addr##*:}"
+head -c "$((cap + 1))" /dev/zero | tr '\0' 'x' >&3
+IFS= read -r -t 30 reply <&3 || reply=""
+exec 3<&- 3>&-
+[[ "$reply" == *BadRequest* && "$reply" == *"$cap"* ]] \
+    || { echo "verify: an over-cap request line got no BadRequest: ${reply:0:200}" >&2; exit 1; }
+echo "request line of cap + 1 bytes rejected with BadRequest"
 "$tdc" query --addr "$addr" --deadline-ms 30000 --output "$serve_tmp/served.json"
 kill "$serve_pid" 2>/dev/null || true
 wait "$serve_pid" 2>/dev/null || true
