@@ -18,6 +18,10 @@
 //! times the seeded pipeline itself (`run_from_store`) so the
 //! steady-state cost of running from a page is visible next to the
 //! cold-start numbers.
+//!
+//! `store/ds1_5000/cold_load` times the decode alone at the size the
+//! benchmark's DS1 workloads load: a page-less 5,000-object DS1 world
+//! (~4.8 MB), whose rebuild and runs would make the bench long.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -61,6 +65,15 @@ fn bench_store(c: &mut Criterion) {
 
     let world = generate_synthetic(&SyntheticConfig::ds1().scaled(300));
     bench_store_group(c, "ds1_300", &world.dataset);
+
+    let world = generate_synthetic(&SyntheticConfig::ds1().scaled(5_000));
+    let tds_bytes = DatasetStore::new(world.dataset).to_bytes();
+    let mut group = c.benchmark_group("store/ds1_5000");
+    group.sample_size(10);
+    group.bench_function("cold_load", |b| {
+        b.iter(|| black_box(DatasetStore::from_bytes(&tds_bytes).expect("decode")));
+    });
+    group.finish();
 }
 
 criterion_group!(benches, bench_store);

@@ -129,8 +129,8 @@ impl BitMatrix {
     }
 
     /// Reassembles a matrix from raw word buffers in the exact layout
-    /// [`BitMatrix::words`] exposes — the zero-copy load path of the
-    /// `td-store` binary format. Returns `None` unless the buffers have
+    /// [`BitMatrix::words`] exposes — how the `td-store` binary format
+    /// loads a stored truth page. Returns `None` unless the buffers have
     /// exactly `rows × ⌈cols/64⌉` words **and** every row's tail bits
     /// beyond `cols` are zero (the invariant the XOR kernels rely on);
     /// a corrupt buffer is rejected, never repaired.

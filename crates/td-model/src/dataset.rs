@@ -367,12 +367,12 @@ impl Dataset {
 
     /// Reassembles a dataset from already-interned parts — the loader
     /// fast path used by the `td-store` binary format, which persists
-    /// the interner tables and claim vector directly. Claims are
-    /// (re)sorted into the canonical `(attribute, object, source)` order
-    /// and fully validated: every id must be in range for its table and
-    /// no `(source, object, attribute)` triple may appear twice, so a
-    /// hostile or corrupt input can produce an error but never a
-    /// malformed dataset.
+    /// the interner tables and claim vector directly. Claims not already
+    /// in strict canonical `(attribute, object, source)` order are
+    /// sorted into it, and all are fully validated: every id must be in
+    /// range for its table and no `(source, object, attribute)` triple
+    /// may appear twice, so a hostile or corrupt input can produce an
+    /// error but never a malformed dataset.
     pub fn from_interned_parts(
         sources: Interner,
         objects: Interner,
@@ -400,16 +400,23 @@ impl Dataset {
                 });
             }
         }
-        claims.sort_unstable_by_key(claim_key);
-        if let Some(w) = claims
+        // Strictly ascending keys are sorted and duplicate-free; stored
+        // files and `subset_where` slices arrive that way.
+        if claims
             .windows(2)
-            .find(|w| claim_key(&w[0]) == claim_key(&w[1]))
+            .any(|w| claim_key(&w[0]) >= claim_key(&w[1]))
         {
-            return Err(ModelError::ConflictingClaim {
-                source: sources.name(w[0].source.0).unwrap_or("?").to_owned(),
-                object: objects.name(w[0].object.0).unwrap_or("?").to_owned(),
-                attribute: attributes.name(w[0].attribute.0).unwrap_or("?").to_owned(),
-            });
+            claims.sort_unstable_by_key(claim_key);
+            if let Some(w) = claims
+                .windows(2)
+                .find(|w| claim_key(&w[0]) == claim_key(&w[1]))
+            {
+                return Err(ModelError::ConflictingClaim {
+                    source: sources.name(w[0].source.0).unwrap_or("?").to_owned(),
+                    object: objects.name(w[0].object.0).unwrap_or("?").to_owned(),
+                    attribute: attributes.name(w[0].attribute.0).unwrap_or("?").to_owned(),
+                });
+            }
         }
         Ok(Dataset::index(sources, objects, attributes, values, claims))
     }
@@ -945,6 +952,37 @@ mod tests {
         let none = d.subset_where(|_| false).unwrap();
         assert_eq!(none.n_claims(), 0);
         assert_eq!(none.n_sources(), d.n_sources());
+    }
+
+    #[test]
+    fn from_interned_parts_sorts_out_of_order_claims_and_rejects_repeats() {
+        let (d, _) = running_example();
+        let p = &*d.parts;
+        let parts = |claims: Vec<Claim>| {
+            Dataset::from_interned_parts(
+                p.sources.clone(),
+                p.objects.clone(),
+                p.attributes.clone(),
+                p.values.clone(),
+                claims,
+            )
+        };
+        let mut reversed = p.claims.clone();
+        reversed.reverse();
+        assert_eq!(parts(p.claims.clone()).unwrap().claims(), d.claims());
+        assert_eq!(parts(reversed).unwrap().claims(), d.claims());
+        // A repeated key conflicts whether it sits next to its twin in
+        // otherwise canonical order or apart from it.
+        let mut adjacent = p.claims.clone();
+        adjacent.insert(1, p.claims[0]);
+        let mut apart = p.claims.clone();
+        apart.push(p.claims[0]);
+        for claims in [adjacent, apart] {
+            assert!(matches!(
+                parts(claims),
+                Err(ModelError::ConflictingClaim { .. })
+            ));
+        }
     }
 
     #[test]

@@ -97,48 +97,44 @@ pub enum Counter {
     /// Full re-partitions (k-sweeps) scheduled by the drift trigger or
     /// forced by structural growth during incremental ingestion.
     DriftRepartitions = 14,
-    /// Bytes brought in from disk by `td-store` loads (file length per
-    /// successful open, whether the sections decode zero-copy or not).
+    /// Bytes handed to the `td-store` decoder: the length of every
+    /// `.tds` load's bytes, whether or not they decode.
     BytesMapped = 15,
-    /// Store sections whose packed words were viewed as `&[u64]` in
-    /// place (8-byte-aligned buffer) instead of being decoded word by
-    /// word. One per aligned section view, not per word.
-    ZeroCopyLoads = 16,
     /// Worker processes spawned by the `td-shard` coordinator (one per
     /// shard actually launched, including chaos-killed ones).
-    ShardsSpawned = 17,
+    ShardsSpawned = 16,
     /// Per-group partial `TruthResult`s received from shard workers and
     /// accepted into the merge.
-    ShardPartials = 18,
+    ShardPartials = 17,
     /// Shard attempts that faulted (worker death, stall past the
     /// coordinator's patience, or protocol garble). Under the default
     /// fail-fast policy a fault aborts the distributed phase; under a
     /// retry policy it schedules a retry or an in-process fallback
     /// instead — either way the fault itself is tallied here.
-    ShardFailures = 19,
+    ShardFailures = 18,
     /// Shard faults answered with a scheduled retry (backoff + respawn)
     /// instead of aborting the run.
-    ShardRetries = 20,
+    ShardRetries = 19,
     /// Worker processes re-spawned from their persisted `.tds` slice
     /// after a backoff window elapsed.
-    ShardRespawns = 21,
+    ShardRespawns = 20,
     /// Shards whose retry budget exhausted and whose jobs the
     /// coordinator therefore ran in-process, flagging the outcome with
     /// a `ShardFallback` degradation (never thinning the merge).
-    ShardFallbacks = 22,
+    ShardFallbacks = 21,
     /// k-means fits (one per `fit` call, all restarts included) that ran
     /// on the exact packed path instead of the dense `f64` Lloyd loop.
-    KMeansPackedFits = 23,
+    KMeansPackedFits = 22,
     /// Rows, summed over every packed Lloyd iteration and restart, whose
     /// winner was picked by the dense `f64` formula: the exact screen
     /// left a candidate of more than one member, whose score only that
     /// formula gives bit for bit.
-    KMeansRechecks = 24,
+    KMeansRechecks = 23,
 }
 
 impl Counter {
     /// Number of fixed counters (the backing array length).
-    pub const COUNT: usize = 25;
+    pub const COUNT: usize = 24;
 
     /// All fixed counters, in serialization order.
     pub const ALL: [Counter; Counter::COUNT] = [
@@ -158,7 +154,6 @@ impl Counter {
         Counter::PartitionsReused,
         Counter::DriftRepartitions,
         Counter::BytesMapped,
-        Counter::ZeroCopyLoads,
         Counter::ShardsSpawned,
         Counter::ShardPartials,
         Counter::ShardFailures,
@@ -188,7 +183,6 @@ impl Counter {
             Counter::PartitionsReused => "partitions_reused",
             Counter::DriftRepartitions => "drift_repartitions",
             Counter::BytesMapped => "bytes_mapped",
-            Counter::ZeroCopyLoads => "zero_copy_loads",
             Counter::ShardsSpawned => "shards_spawned",
             Counter::ShardPartials => "shard_partials",
             Counter::ShardFailures => "shard_failures",

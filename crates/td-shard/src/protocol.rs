@@ -61,7 +61,7 @@ pub struct ShardJob {
     /// `td_algorithms::registry::algorithm_by_name`.
     pub algorithm: String,
     /// Path of the `.tds` slice the coordinator extracted for this
-    /// shard. Workers seed through the store's zero-copy load path.
+    /// shard. Workers seed through `DatasetStore::load`.
     pub store_path: String,
     /// Rayon parallelism for the worker's own group loop
     /// (`ShardPlan::worker_parallelism`).

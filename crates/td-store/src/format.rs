@@ -1,6 +1,6 @@
 //! Byte-level plumbing for the `.tds` format: the little-endian
-//! writer, the 8-byte-aligned load buffer, bounds-checked cursors, and
-//! the FNV-1a section checksum.
+//! writer, bounds-checked cursors over the file's bytes, and the FNV-1a
+//! section checksum.
 //!
 //! Everything on the read side is defensive: every length and offset is
 //! validated against the bytes actually present *before* any
@@ -10,8 +10,8 @@
 use crate::error::StoreError;
 
 /// Bytes per alignment unit: every section (and every packed word run
-/// inside the truth-page section) starts on an 8-byte boundary so the
-/// loader can hand out `&[u64]` views without copying.
+/// inside the truth-page section) starts on an 8-byte file offset,
+/// reached by zero padding.
 pub const ALIGN: usize = 8;
 
 /// FNV-1a 64-bit over a byte slice — the per-section checksum. Chosen
@@ -44,7 +44,6 @@ impl ByteWriter {
         self.buf.len()
     }
 
-    /// Whether nothing has been written.
     /// Pads with zero bytes up to the next multiple of [`ALIGN`].
     pub fn align8(&mut self) {
         while self.buf.len() % ALIGN != 0 {
@@ -79,8 +78,8 @@ impl ByteWriter {
         }
     }
 
-    /// Overwrites `ALIGN`-many… no: overwrites bytes at `offset` (used
-    /// to back-patch the section table once payload offsets are known).
+    /// Overwrites the bytes at `offset` with `bytes` (used to back-patch
+    /// the section table once payload offsets are known).
     pub fn patch(&mut self, offset: usize, bytes: &[u8]) {
         self.buf[offset..offset + bytes.len()].copy_from_slice(bytes);
     }
@@ -91,115 +90,29 @@ impl ByteWriter {
     }
 }
 
-/// The whole file, loaded into an 8-byte-aligned allocation.
-///
-/// The backing storage is a `Vec<u64>`, so the buffer's base address is
-/// always 8-byte aligned without any `unsafe`: a section whose file
-/// offset is a multiple of 8 can be viewed as a plain subslice of the
-/// word vector ([`AlignedBuf::word_slice`]) — the zero-copy path. Byte
-/// granular reads extract from the words arithmetically.
-///
-/// The format is little-endian on disk; on a little-endian target the
-/// in-memory words *are* the on-disk words, which is what makes the
-/// subslice view exact. (On a big-endian target [`AlignedBuf::word_slice`]
-/// reports misalignment so callers take the decode fallback — see
-/// `docs/STORAGE.md`.)
-pub struct AlignedBuf {
-    words: Vec<u64>,
-    len: usize,
-}
-
-impl AlignedBuf {
-    /// Copies `bytes` into a fresh aligned buffer.
-    pub fn from_bytes(bytes: &[u8]) -> Self {
-        let mut words = vec![0u64; bytes.len().div_ceil(ALIGN)];
-        for (i, &b) in bytes.iter().enumerate() {
-            words[i / ALIGN] |= u64::from(b) << ((i % ALIGN) * 8);
-        }
-        Self {
-            words,
-            len: bytes.len(),
-        }
-    }
-
-    /// Total byte length of the file.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the file was empty.
-    /// Byte at `i`, or `None` past the end.
-    #[inline]
-    pub fn byte(&self, i: usize) -> Option<u8> {
-        if i >= self.len {
-            return None;
-        }
-        Some((self.words[i / ALIGN] >> ((i % ALIGN) * 8)) as u8)
-    }
-
-    /// A borrowed `&[u64]` view of `n_words` words starting at byte
-    /// `offset` — **no copy** — when the offset is 8-byte aligned, the
-    /// range is in bounds, and the target is little-endian. `None`
-    /// means "take the decode fallback", never "error".
-    pub fn word_slice(&self, offset: usize, n_words: usize) -> Option<&[u64]> {
-        if cfg!(target_endian = "big") || offset % ALIGN != 0 {
-            return None;
-        }
-        let start = offset / ALIGN;
-        let end = start.checked_add(n_words)?;
-        let byte_end = offset.checked_add(n_words.checked_mul(ALIGN)?)?;
-        if byte_end > self.len || end > self.words.len() {
-            return None;
-        }
-        Some(&self.words[start..end])
-    }
-
-    /// Copies the byte range into a fresh vector (bounds-checked).
-    pub fn copy_bytes(&self, offset: usize, len: usize) -> Option<Vec<u8>> {
-        let end = offset.checked_add(len)?;
-        if end > self.len {
-            return None;
-        }
-        Some((offset..end).map(|i| self.byte(i).unwrap_or(0)).collect())
-    }
-
-    /// FNV-1a over the byte range (bounds-checked).
-    pub fn checksum(&self, offset: usize, len: usize) -> Option<u64> {
-        let end = offset.checked_add(len)?;
-        if end > self.len {
-            return None;
-        }
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for i in offset..end {
-            h ^= u64::from(self.byte(i).unwrap_or(0));
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        Some(h)
-    }
-}
-
-/// Bounds-checked sequential reader over one section of an
-/// [`AlignedBuf`]. Every read that would escape the section yields a
+/// Bounds-checked sequential reader over one section of the file's
+/// bytes. Each read takes its whole field with one range check and
+/// decodes it with `from_le_bytes`, which is exact at any offset and on
+/// any target. Every read that would escape the section yields a
 /// [`StoreError::Corrupt`] naming the section.
 pub struct SectionReader<'a> {
-    buf: &'a AlignedBuf,
-    /// Absolute byte offset of the next read.
+    /// The section's bytes not read yet.
+    rest: &'a [u8],
+    /// Absolute file offset of `rest[0]`: padding aligns to file
+    /// offsets, not section offsets.
     pos: usize,
-    /// Absolute byte offset one past the section's last byte.
-    end: usize,
     /// Section name for error reporting.
     pub section: &'static str,
 }
 
 impl<'a> SectionReader<'a> {
-    /// A reader over `[offset, offset + len)` of `buf`. The range is
-    /// assumed already validated against the file length (the section
-    /// table check does that).
-    pub fn new(buf: &'a AlignedBuf, offset: usize, len: usize, section: &'static str) -> Self {
+    /// A reader over `[offset, offset + len)` of the file `bytes`. The
+    /// range must lie within `bytes`; the section table check
+    /// guarantees that for every section.
+    pub fn new(bytes: &'a [u8], offset: usize, len: usize, section: &'static str) -> Self {
         Self {
-            buf,
+            rest: &bytes[offset..offset + len],
             pos: offset,
-            end: offset + len,
             section,
         }
     }
@@ -213,77 +126,76 @@ impl<'a> SectionReader<'a> {
 
     /// Bytes left in the section.
     pub fn remaining(&self) -> usize {
-        self.end - self.pos
+        self.rest.len()
+    }
+
+    /// The next `n` bytes of the section.
+    fn take(&mut self, n: usize) -> Result<&'a [u8], StoreError> {
+        if n > self.rest.len() {
+            return Err(self.corrupt("unexpected end of section"));
+        }
+        let (field, rest) = self.rest.split_at(n);
+        self.rest = rest;
+        self.pos += n;
+        Ok(field)
+    }
+
+    fn read_array<const N: usize>(&mut self) -> Result<[u8; N], StoreError> {
+        Ok(self
+            .take(N)?
+            .try_into()
+            .expect("take returns exactly N bytes"))
     }
 
     /// Skips zero padding up to the next multiple of [`ALIGN`].
     pub fn align8(&mut self) -> Result<(), StoreError> {
-        while self.pos % ALIGN != 0 {
-            let b = self.read_u8()?;
-            if b != 0 {
-                return Err(self.corrupt("non-zero padding byte"));
-            }
+        let pad = self.pos.next_multiple_of(ALIGN) - self.pos;
+        if self.take(pad)?.iter().any(|&b| b != 0) {
+            return Err(self.corrupt("non-zero padding byte"));
         }
         Ok(())
     }
 
     /// Reads one byte.
     pub fn read_u8(&mut self) -> Result<u8, StoreError> {
-        if self.pos >= self.end {
-            return Err(self.corrupt("unexpected end of section"));
-        }
-        let b = self.buf.byte(self.pos).ok_or_else(|| self.corrupt("read past file end"))?;
-        self.pos += 1;
-        Ok(b)
+        self.read_array().map(u8::from_le_bytes)
     }
 
     /// Reads a little-endian `u32`.
     pub fn read_u32(&mut self) -> Result<u32, StoreError> {
-        let mut v = 0u32;
-        for i in 0..4 {
-            v |= u32::from(self.read_u8()?) << (i * 8);
-        }
-        Ok(v)
+        self.read_array().map(u32::from_le_bytes)
     }
 
     /// Reads a little-endian `u64`.
     pub fn read_u64(&mut self) -> Result<u64, StoreError> {
-        let mut v = 0u64;
-        for i in 0..8 {
-            v |= u64::from(self.read_u8()?) << (i * 8);
-        }
-        Ok(v)
+        self.read_array().map(u64::from_le_bytes)
     }
 
-    /// Reads `len` raw bytes. `len` is checked against the section
-    /// remainder *before* allocating.
-    pub fn read_bytes(&mut self, len: usize) -> Result<Vec<u8>, StoreError> {
+    /// Borrows the next `len` raw bytes; `len` is checked against the
+    /// section remainder.
+    pub fn read_bytes(&mut self, len: usize) -> Result<&'a [u8], StoreError> {
         if len > self.remaining() {
             return Err(self.corrupt(format!(
                 "declared byte run of {len} exceeds the {} bytes left in the section",
                 self.remaining()
             )));
         }
-        let out = self
-            .buf
-            .copy_bytes(self.pos, len)
-            .ok_or_else(|| self.corrupt("read past file end"))?;
-        self.pos += len;
-        Ok(out)
+        self.take(len)
     }
 
     /// Reads a `u32`-length-prefixed UTF-8 string.
     pub fn read_string(&mut self) -> Result<String, StoreError> {
         let len = self.read_u32()? as usize;
         let bytes = self.read_bytes(len)?;
-        String::from_utf8(bytes).map_err(|_| self.corrupt("non-UTF-8 string"))
+        std::str::from_utf8(bytes)
+            .map(str::to_owned)
+            .map_err(|_| self.corrupt("non-UTF-8 string"))
     }
 
-    /// Reads `n_words` little-endian `u64` words. Prefers the aligned
-    /// zero-copy view (reported via `zero_copy`), falling back to a
-    /// word-by-word decode on misalignment. `n_words` is validated
-    /// against the section remainder before any allocation.
-    pub fn read_words(&mut self, n_words: usize, zero_copy: &mut bool) -> Result<Vec<u64>, StoreError> {
+    /// Reads `n_words` little-endian `u64` words in one pass. `n_words`
+    /// is validated against the section remainder before any
+    /// allocation.
+    pub fn read_words(&mut self, n_words: usize) -> Result<Vec<u64>, StoreError> {
         let bytes = n_words
             .checked_mul(ALIGN)
             .ok_or_else(|| self.corrupt("word count overflows"))?;
@@ -293,17 +205,11 @@ impl<'a> SectionReader<'a> {
                 self.remaining()
             )));
         }
-        if let Some(view) = self.buf.word_slice(self.pos, n_words) {
-            *zero_copy = true;
-            let out = view.to_vec();
-            self.pos += bytes;
-            return Ok(out);
-        }
-        let mut out = Vec::with_capacity(n_words);
-        for _ in 0..n_words {
-            out.push(self.read_u64()?);
-        }
-        Ok(out)
+        Ok(self
+            .take(bytes)?
+            .chunks_exact(ALIGN)
+            .map(|w| u64::from_le_bytes(w.try_into().expect("chunks_exact yields ALIGN bytes")))
+            .collect())
     }
 
     /// Checks the section was consumed exactly.
@@ -337,46 +243,64 @@ mod tests {
         let bytes = w.into_bytes();
         assert_eq!(bytes.len() % ALIGN, 0);
 
-        let buf = AlignedBuf::from_bytes(&bytes);
-        let mut r = SectionReader::new(&buf, 0, bytes.len(), "test");
+        let mut r = SectionReader::new(&bytes, 0, bytes.len(), "test");
         assert_eq!(r.read_u32().unwrap(), 7);
         assert_eq!(r.read_u8().unwrap(), 0xAB);
         r.align8().unwrap();
-        let mut zc = false;
-        assert_eq!(r.read_words(2, &mut zc).unwrap(), vec![u64::MAX, 42]);
-        assert!(zc, "aligned word run should be a zero-copy view");
+        assert_eq!(r.read_words(2).unwrap(), vec![u64::MAX, 42]);
         r.expect_exhausted().unwrap();
     }
 
     #[test]
-    fn misaligned_words_fall_back_to_decode() {
+    fn misaligned_word_runs_decode_exactly() {
         let mut w = ByteWriter::new();
         w.put_u32(0); // 4-byte prefix => words start misaligned
         w.put_words(&[0x0102_0304_0506_0708]);
         let bytes = w.into_bytes();
-        let buf = AlignedBuf::from_bytes(&bytes);
-        let mut r = SectionReader::new(&buf, 0, bytes.len(), "test");
+        let mut r = SectionReader::new(&bytes, 0, bytes.len(), "test");
         r.read_u32().unwrap();
-        let mut zc = false;
-        assert_eq!(r.read_words(1, &mut zc).unwrap(), vec![0x0102_0304_0506_0708]);
-        assert!(!zc, "misaligned run must decode, not view");
+        assert_eq!(r.read_words(1).unwrap(), vec![0x0102_0304_0506_0708]);
+    }
+
+    #[test]
+    fn padding_aligns_to_file_offsets() {
+        // A section starting at file offset 4: one byte read leaves
+        // pos = 5, so three padding bytes reach offset 8.
+        let bytes = [0u8, 0, 0, 0, 9, 0, 0, 0, 1, 0, 0, 0];
+        let mut r = SectionReader::new(&bytes, 4, 8, "test");
+        assert_eq!(r.read_u8().unwrap(), 9);
+        r.align8().unwrap();
+        assert_eq!(r.read_u32().unwrap(), 1);
+        let mut dirty = bytes;
+        dirty[6] = 1;
+        let mut r = SectionReader::new(&dirty, 4, 8, "test");
+        r.read_u8().unwrap();
+        assert!(matches!(
+            r.align8(),
+            Err(StoreError::Corrupt {
+                section: "test",
+                ..
+            })
+        ));
     }
 
     #[test]
     fn oversized_declared_lengths_error_before_allocating() {
-        let buf = AlignedBuf::from_bytes(&[0xFF; 16]);
-        let mut r = SectionReader::new(&buf, 0, 16, "test");
+        let bytes = [0xFF; 16];
+        let mut r = SectionReader::new(&bytes, 0, 16, "test");
         // u32::MAX-length byte run: must error, not try to allocate 4 GiB.
         assert!(r.read_bytes(u32::MAX as usize).is_err());
-        let mut zc = false;
-        assert!(r.read_words(usize::MAX / 2, &mut zc).is_err());
-    }
-
-    #[test]
-    fn checksum_over_subrange_matches_slice_fnv() {
-        let bytes: Vec<u8> = (0..64u8).collect();
-        let buf = AlignedBuf::from_bytes(&bytes);
-        assert_eq!(buf.checksum(5, 20), Some(fnv1a(&bytes[5..25])));
-        assert_eq!(buf.checksum(60, 10), None, "range past end");
+        assert!(r.read_words(usize::MAX / 2).is_err());
+        // A field straddling the section end errors; the file bytes
+        // past it are never read.
+        let mut r = SectionReader::new(&bytes, 0, 6, "test");
+        r.read_u32().unwrap();
+        assert!(matches!(
+            r.read_u32(),
+            Err(StoreError::Corrupt {
+                section: "test",
+                ..
+            })
+        ));
     }
 }

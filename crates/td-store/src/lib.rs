@@ -20,10 +20,9 @@
 //! The file layout is a fixed header (magic `TDS1`, version, section
 //! table with per-section FNV-1a checksums) followed by 8-byte-aligned
 //! sections — see `docs/STORAGE.md` for the byte-level diagram. The
-//! loader reads the file into an 8-byte-aligned buffer and hands out
-//! packed word runs as **zero-copy `&[u64]` views** when aligned
-//! (bumping [`Counter::ZeroCopyLoads`]), falling back to a word-by-word
-//! decode on misalignment rather than erroring.
+//! loader decodes straight from the bytes the file was read into: each
+//! field with one range check, and the claim rows and packed word runs
+//! in one pass each, exactly on any target endianness.
 //!
 //! Every failure is a typed [`StoreError`] naming the offending
 //! section; hostile bytes can never panic the loader or provoke an
@@ -53,11 +52,13 @@ use td_obs::{Counter, Observer};
 
 mod error;
 mod format;
+#[cfg(test)]
+mod reference;
 
 pub use error::StoreError;
 pub use format::fnv1a;
 
-use format::{AlignedBuf, ByteWriter, SectionReader};
+use format::{ByteWriter, SectionReader};
 
 /// The four magic bytes opening every `.tds` file.
 pub const MAGIC: [u8; 4] = *b"TDS1";
@@ -215,13 +216,10 @@ impl DatasetStore {
     }
 
     /// Deserializes from `.tds` bytes, recording
-    /// [`Counter::BytesMapped`] (total bytes brought in) and
-    /// [`Counter::ZeroCopyLoads`] (packed word runs viewed in place
-    /// rather than decoded) on `observer`.
+    /// [`Counter::BytesMapped`] (total bytes brought in) on `observer`.
     pub fn from_bytes_observed(bytes: &[u8], observer: &Observer) -> Result<Self, StoreError> {
         observer.incr(Counter::BytesMapped, bytes.len() as u64);
-        let buf = AlignedBuf::from_bytes(bytes);
-        decode_store(&buf, observer)
+        decode_store(bytes)
     }
 
     /// Writes the store to a file.
@@ -260,8 +258,7 @@ pub struct SectionInfo {
 /// bytes — the cheap front half of a load, used by `tdc inspect`.
 /// Checksums are verified against the payloads.
 pub fn section_table(bytes: &[u8]) -> Result<Vec<SectionInfo>, StoreError> {
-    let buf = AlignedBuf::from_bytes(bytes);
-    let sections = read_section_table(&buf)?;
+    let sections = read_section_table(bytes)?;
     Ok(sections
         .into_iter()
         .map(|s| SectionInfo {
@@ -390,13 +387,13 @@ struct Section {
 /// Reads and fully validates the header + section table: magic,
 /// version, section count, per-section bounds and checksums, and that
 /// every required section appears exactly once.
-fn read_section_table(buf: &AlignedBuf) -> Result<Vec<Section>, StoreError> {
+fn read_section_table(bytes: &[u8]) -> Result<Vec<Section>, StoreError> {
     const HEADER: usize = 16;
     const ENTRY: usize = 32;
-    if buf.len() < HEADER {
-        return Err(StoreError::TruncatedHeader { len: buf.len() });
+    if bytes.len() < HEADER {
+        return Err(StoreError::TruncatedHeader { len: bytes.len() });
     }
-    let mut r = SectionReader::new(buf, 0, buf.len(), "header");
+    let mut r = SectionReader::new(bytes, 0, bytes.len(), "header");
     let magic = r.read_bytes(4).expect("header length checked");
     if magic != MAGIC {
         return Err(StoreError::BadMagic {
@@ -416,8 +413,8 @@ fn read_section_table(buf: &AlignedBuf) -> Result<Vec<Section>, StoreError> {
         });
     }
     let table_bytes = n_sections as usize * ENTRY;
-    if buf.len() < HEADER + table_bytes {
-        return Err(StoreError::TruncatedHeader { len: buf.len() });
+    if bytes.len() < HEADER + table_bytes {
+        return Err(StoreError::TruncatedHeader { len: bytes.len() });
     }
 
     let mut sections = Vec::with_capacity(n_sections as usize);
@@ -445,10 +442,10 @@ fn read_section_table(buf: &AlignedBuf) -> Result<Vec<Section>, StoreError> {
         let end = offset
             .checked_add(len)
             .ok_or(StoreError::SectionOutOfBounds { section: name })?;
-        if offset < HEADER + table_bytes || end > buf.len() {
+        if offset < HEADER + table_bytes || end > bytes.len() {
             return Err(StoreError::SectionOutOfBounds { section: name });
         }
-        if buf.checksum(offset, len) != Some(checksum) {
+        if fnv1a(&bytes[offset..end]) != checksum {
             return Err(StoreError::ChecksumMismatch { section: name });
         }
         sections.push(Section {
@@ -469,11 +466,11 @@ fn read_section_table(buf: &AlignedBuf) -> Result<Vec<Section>, StoreError> {
     Ok(sections)
 }
 
-fn decode_store(buf: &AlignedBuf, observer: &Observer) -> Result<DatasetStore, StoreError> {
-    let sections = read_section_table(buf)?;
+fn decode_store(bytes: &[u8]) -> Result<DatasetStore, StoreError> {
+    let sections = read_section_table(bytes)?;
     let reader = |name: &'static str| -> SectionReader<'_> {
         let s = sections.iter().find(|s| s.name == name).expect("presence checked");
-        SectionReader::new(buf, s.offset, s.len, name)
+        SectionReader::new(bytes, s.offset, s.len, name)
     };
 
     let sources = decode_names(reader("sources"))?;
@@ -482,7 +479,7 @@ fn decode_store(buf: &AlignedBuf, observer: &Observer) -> Result<DatasetStore, S
     let values = decode_values(reader("values"))?;
     let claims = decode_claims(reader("claims"))?;
     let dataset = Dataset::from_interned_parts(sources, objects, attributes, values, claims)?;
-    let pages = decode_pages(reader("truth_pages"), &dataset, observer)?;
+    let pages = decode_pages(reader("truth_pages"), &dataset)?;
     Ok(DatasetStore { dataset, pages })
 }
 
@@ -526,7 +523,7 @@ fn decode_values(mut r: SectionReader<'_>) -> Result<Vec<Value>, StoreError> {
             0 => {
                 let len = r.read_u32()? as usize;
                 let bytes = r.read_bytes(len)?;
-                let s = String::from_utf8(bytes).map_err(|_| StoreError::Corrupt {
+                let s = std::str::from_utf8(bytes).map_err(|_| StoreError::Corrupt {
                     section: r.section,
                     detail: "non-UTF-8 text value".into(),
                 })?;
@@ -565,23 +562,26 @@ fn decode_claims(mut r: SectionReader<'_>) -> Result<Vec<Claim>, StoreError> {
             ),
         });
     }
-    let mut claims = Vec::with_capacity(count);
-    for _ in 0..count {
-        let s = SourceId::new(r.read_u32()?);
-        let o = ObjectId::new(r.read_u32()?);
-        let a = AttributeId::new(r.read_u32()?);
-        let v = ValueId::new(r.read_u32()?);
-        claims.push(Claim::new(s, o, a, v));
-    }
+    let claims = r
+        .read_bytes(count * 16)?
+        .chunks_exact(16)
+        .map(|row| {
+            let id = |at: usize| {
+                u32::from_le_bytes(row[at..at + 4].try_into().expect("claim rows are 16 bytes"))
+            };
+            Claim::new(
+                SourceId::new(id(0)),
+                ObjectId::new(id(4)),
+                AttributeId::new(id(8)),
+                ValueId::new(id(12)),
+            )
+        })
+        .collect();
     r.expect_exhausted()?;
     Ok(claims)
 }
 
-fn decode_pages(
-    mut r: SectionReader<'_>,
-    dataset: &Dataset,
-    observer: &Observer,
-) -> Result<Vec<TruthPage>, StoreError> {
+fn decode_pages(mut r: SectionReader<'_>, dataset: &Dataset) -> Result<Vec<TruthPage>, StoreError> {
     let corrupt = |r: &SectionReader<'_>, detail: String| StoreError::Corrupt {
         section: r.section,
         detail,
@@ -644,16 +644,12 @@ fn decode_pages(
         let n_words = rows
             .checked_mul(words_per_row)
             .ok_or_else(|| corrupt(&r, "page dimensions overflow".into()))?;
-        let mut zero_copy = false;
-        let bits = r.read_words(n_words, &mut zero_copy)?;
+        let bits = r.read_words(n_words)?;
         let mask = if masked {
-            Some(r.read_words(n_words, &mut zero_copy)?)
+            Some(r.read_words(n_words)?)
         } else {
             None
         };
-        if zero_copy {
-            observer.incr(Counter::ZeroCopyLoads, 1);
-        }
         let matrix = BitMatrix::from_words(rows, cols, bits, mask)
             .ok_or_else(|| corrupt(&r, "non-canonical packed words (tail bits set)".into()))?;
         pages.push(TruthPage {
@@ -730,7 +726,7 @@ mod tests {
     }
 
     #[test]
-    fn load_counters_record_bytes_and_zero_copy() {
+    fn load_counters_record_bytes_mapped() {
         let dataset = sample_dataset();
         let mut store = DatasetStore::new(dataset.clone());
         store.push_page(sample_page(&dataset, false));
@@ -739,7 +735,6 @@ mod tests {
         DatasetStore::from_bytes_observed(&bytes, &obs).unwrap();
         let profile = obs.profile().unwrap();
         assert_eq!(profile.counter("bytes_mapped"), Some(bytes.len() as u64));
-        assert_eq!(profile.counter("zero_copy_loads"), Some(1));
     }
 
     #[test]

@@ -40,6 +40,13 @@ echo "== k-means parity oracle: packed vs dense Lloyd, dev and release profiles 
 cargo test --offline -q -p td-verify --test kmeans
 cargo test --offline -q --release -p td-verify --test kmeans
 
+echo "== store decoder under the release profile =="
+# tdc and perfbench load stores with the release decoder, whose offset
+# arithmetic runs without overflow checks: run its unit tests (the
+# differential mutation test among them) and the corruption matrix there.
+cargo test --offline -q --release -p td-store
+cargo test --offline -q --release -p td-verify --test store
+
 echo "== chaos oracles: injected panics/stalls/cancels + budget invariants =="
 cargo test --offline -q -p td-verify --test chaos
 cargo test --offline -q -p td-verify --test limits_props
