@@ -22,6 +22,8 @@
 //! `store/ds1_5000/cold_load` times the decode alone at the size the
 //! benchmark's DS1 workloads load: a page-less 5,000-object DS1 world
 //! (~4.8 MB), whose rebuild and runs would make the bench long.
+//! `store/ds1_5000/to_bytes` times the encode of the same store, the
+//! write `tdc pack` and each shard slice `save` pay.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -67,11 +69,15 @@ fn bench_store(c: &mut Criterion) {
     bench_store_group(c, "ds1_300", &world.dataset);
 
     let world = generate_synthetic(&SyntheticConfig::ds1().scaled(5_000));
-    let tds_bytes = DatasetStore::new(world.dataset).to_bytes();
+    let store = DatasetStore::new(world.dataset);
+    let tds_bytes = store.to_bytes();
     let mut group = c.benchmark_group("store/ds1_5000");
     group.sample_size(10);
     group.bench_function("cold_load", |b| {
         b.iter(|| black_box(DatasetStore::from_bytes(&tds_bytes).expect("decode")));
+    });
+    group.bench_function("to_bytes", |b| {
+        b.iter(|| black_box(store.to_bytes()));
     });
     group.finish();
 }

@@ -59,7 +59,7 @@ use std::process::ExitCode;
 use td_algorithms::{algorithm_by_name, registry::all_algorithms, TruthDiscovery};
 use td_metrics::{evaluate_fn, Stopwatch};
 use td_model::{csv, json, ClaimBatch, Dataset, DatasetStats, GroundTruth};
-use td_store::{section_table, DatasetStore};
+use td_store::{section_table, DatasetStore, VERSION};
 use td_serve::{Client, ResponseBody, ServeConfig, Server, WireClaim};
 use td_shard::ShardRunner;
 use tdac_core::{
@@ -521,9 +521,9 @@ fn cmd_pack(args: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// `tdc inspect`: print a `.tds` store's section table (offsets,
-/// lengths, checksums — validated) and the decoded dataset + truth-page
-/// summary.
+/// `tdc inspect`: print a `.tds` store's format version, its section
+/// table (offsets, lengths, checksums — validated) and the decoded
+/// dataset + truth-page summary.
 fn cmd_inspect(args: &[String]) -> ExitCode {
     let Some(input) = flag_value(args, "--input") else {
         eprintln!("--input is required\n{USAGE}");
@@ -544,10 +544,12 @@ fn cmd_inspect(args: &[String]) -> ExitCode {
         }
     };
     println!("file         : {input} ({} bytes)", bytes.len());
+    // `section_table` refuses every version but the one this build reads.
+    println!("version      : {VERSION}");
     println!("sections     :");
     for s in &sections {
         println!(
-            "  {:<12} offset {:>8}  len {:>8}  fnv1a {:016x}",
+            "  {:<12} offset {:>8}  len {:>8}  xxh64 {:016x}",
             s.name, s.offset, s.len, s.checksum
         );
     }

@@ -952,8 +952,7 @@ mod tests {
                 assert_eq!(s, object_shard(name, n), "stable across calls");
             }
         }
-        // Regression pin: the routing is FNV-1a of the name, the same
-        // hash the store's checksums use.
+        // Regression pin: the routing is FNV-1a of the name.
         assert_eq!(
             object_shard("o1", 4),
             (fnv1a(b"o1") % 4) as usize

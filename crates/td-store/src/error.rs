@@ -39,7 +39,7 @@ pub enum StoreError {
         /// The version field as read.
         found: u32,
     },
-    /// A section's FNV-1a checksum does not match its payload.
+    /// A section's XXH64 checksum does not match its payload.
     ChecksumMismatch {
         /// Section name (`"sources"`, `"claims"`, …).
         section: &'static str,
@@ -75,7 +75,11 @@ impl fmt::Display for StoreError {
                 write!(f, "bad magic {found:?} (expected \"TDS1\")")
             }
             StoreError::UnsupportedVersion { found } => {
-                write!(f, "unsupported format version {found} (this build reads version 1)")
+                write!(
+                    f,
+                    "unsupported format version {found} (this build reads version {})",
+                    crate::VERSION
+                )
             }
             StoreError::ChecksumMismatch { section } => {
                 write!(f, "checksum mismatch in section {section:?}")
@@ -130,6 +134,14 @@ mod tests {
         assert!(e.to_string().contains("values") && e.to_string().contains("NaN"));
         let e = StoreError::BadMagic { found: *b"NOPE" };
         assert!(e.to_string().contains("TDS1"));
+        let e = StoreError::UnsupportedVersion { found: 1 };
+        assert_eq!(
+            e.to_string(),
+            format!(
+                "unsupported format version 1 (this build reads version {})",
+                crate::VERSION
+            )
+        );
     }
 
     #[test]

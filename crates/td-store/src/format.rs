@@ -1,6 +1,6 @@
 //! Byte-level plumbing for the `.tds` format: the little-endian
-//! writer, bounds-checked cursors over the file's bytes, and the FNV-1a
-//! section checksum.
+//! writer, bounds-checked cursors over the file's bytes, and the XXH64
+//! section checksum (plus FNV-1a, kept for callers that hash names).
 //!
 //! Everything on the read side is defensive: every length and offset is
 //! validated against the bytes actually present *before* any
@@ -14,10 +14,9 @@ use crate::error::StoreError;
 /// reached by zero padding.
 pub const ALIGN: usize = 8;
 
-/// FNV-1a 64-bit over a byte slice — the per-section checksum. Chosen
-/// for being dependency-free and fully specified, not for cryptographic
-/// strength; the checksum catches corruption, not adversaries (the
-/// decoder's validation handles those).
+/// FNV-1a 64-bit over a byte slice. Stable and fully specified, so
+/// td-shard routes objects by it and td-verify fingerprints results
+/// with it; it is not the `.tds` checksum (see [`xxh64`]).
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for &b in bytes {
@@ -27,21 +26,110 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
+const PRIME64_1: u64 = 0x9E37_79B1_85EB_CA87;
+const PRIME64_2: u64 = 0xC2B2_AE3D_27D4_EB4F;
+const PRIME64_3: u64 = 0x1656_67B1_9E37_79F9;
+const PRIME64_4: u64 = 0x85EB_CA77_C2B2_AE63;
+const PRIME64_5: u64 = 0x27D4_EB2F_1656_67C5;
+
+fn read_u64_le(bytes: &[u8]) -> u64 {
+    u64::from_le_bytes(bytes[..8].try_into().expect("8-byte lane"))
+}
+
+fn xxh64_round(acc: u64, lane: u64) -> u64 {
+    acc.wrapping_add(lane.wrapping_mul(PRIME64_2))
+        .rotate_left(31)
+        .wrapping_mul(PRIME64_1)
+}
+
+fn xxh64_merge(acc: u64, lane_acc: u64) -> u64 {
+    (acc ^ xxh64_round(0, lane_acc))
+        .wrapping_mul(PRIME64_1)
+        .wrapping_add(PRIME64_4)
+}
+
+/// XXH64 with seed 0 over a byte slice — the per-section checksum of
+/// format version 2, written from the published xxHash specification.
+/// Its four accumulators take independent 8-byte lanes of each 32-byte
+/// stripe, so the multiplies overlap instead of waiting on one another
+/// as FNV-1a's do. It catches corruption, not adversaries (the
+/// decoder's validation handles those).
+pub fn xxh64(bytes: &[u8]) -> u64 {
+    let stripes = bytes.chunks_exact(32);
+    let tail = stripes.remainder();
+    let mut h = if bytes.len() >= 32 {
+        let mut acc = [
+            PRIME64_1.wrapping_add(PRIME64_2),
+            PRIME64_2,
+            0,
+            PRIME64_1.wrapping_neg(),
+        ];
+        for stripe in stripes {
+            for (lane, acc) in stripe.chunks_exact(8).zip(&mut acc) {
+                *acc = xxh64_round(*acc, read_u64_le(lane));
+            }
+        }
+        let h = acc[0]
+            .rotate_left(1)
+            .wrapping_add(acc[1].rotate_left(7))
+            .wrapping_add(acc[2].rotate_left(12))
+            .wrapping_add(acc[3].rotate_left(18));
+        acc.iter().fold(h, |h, &lane_acc| xxh64_merge(h, lane_acc))
+    } else {
+        PRIME64_5
+    };
+    h = h.wrapping_add(bytes.len() as u64);
+
+    let words = tail.chunks_exact(8);
+    let mut rest = words.remainder();
+    for word in words {
+        h = (h ^ xxh64_round(0, read_u64_le(word)))
+            .rotate_left(27)
+            .wrapping_mul(PRIME64_1)
+            .wrapping_add(PRIME64_4);
+    }
+    if let Some((half, bytes)) = rest.split_first_chunk::<4>() {
+        h = (h ^ u64::from(u32::from_le_bytes(*half)).wrapping_mul(PRIME64_1))
+            .rotate_left(23)
+            .wrapping_mul(PRIME64_2)
+            .wrapping_add(PRIME64_3);
+        rest = bytes;
+    }
+    for &b in rest {
+        h = (h ^ u64::from(b).wrapping_mul(PRIME64_5))
+            .rotate_left(11)
+            .wrapping_mul(PRIME64_1);
+    }
+
+    h ^= h >> 33;
+    h = h.wrapping_mul(PRIME64_2);
+    h ^= h >> 29;
+    h = h.wrapping_mul(PRIME64_3);
+    h ^ (h >> 32)
+}
+
 /// Little-endian append-only byte writer with explicit 8-byte padding.
-#[derive(Default)]
 pub struct ByteWriter {
     buf: Vec<u8>,
 }
 
 impl ByteWriter {
-    /// An empty writer.
-    pub fn new() -> Self {
-        Self::default()
+    /// An empty writer with room for `capacity` bytes, so a caller that
+    /// knows its output size never has the buffer regrow.
+    pub fn with_capacity(capacity: usize) -> Self {
+        Self {
+            buf: Vec::with_capacity(capacity),
+        }
     }
 
     /// Bytes written so far (also the offset of the next write).
     pub fn len(&self) -> usize {
         self.buf.len()
+    }
+
+    /// The bytes written so far.
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.buf
     }
 
     /// Pads with zero bytes up to the next multiple of [`ALIGN`].
@@ -234,8 +322,37 @@ mod tests {
     }
 
     #[test]
+    fn xxh64_matches_reference_vectors() {
+        // Published XXH64 (seed 0) vectors. The 39-byte input runs one
+        // 32-byte stripe through the four lanes, then the 4-byte and
+        // single-byte tails.
+        assert_eq!(xxh64(b""), 0xEF46_DB37_51D8_E999);
+        assert_eq!(xxh64(b"abc"), 0x44BC_2CF5_AD77_0999);
+        assert_eq!(
+            xxh64(b"Nobody inspects the spammish repetition"),
+            0xFBCE_A83C_8A37_8BF1
+        );
+    }
+
+    #[test]
+    fn xxh64_changes_under_every_single_bit_flip() {
+        // Every length through three stripes plus each tail shape.
+        let bytes: Vec<u8> = (0..96u8).map(|i| i.wrapping_mul(151)).collect();
+        for len in 0..=bytes.len() {
+            let input = &bytes[..len];
+            let sum = xxh64(input);
+            let mut flipped = input.to_vec();
+            for bit in 0..len * 8 {
+                flipped[bit / 8] ^= 1 << (bit % 8);
+                assert_ne!(xxh64(&flipped), sum, "len {len}, bit {bit}");
+                flipped[bit / 8] ^= 1 << (bit % 8);
+            }
+        }
+    }
+
+    #[test]
     fn writer_reader_roundtrip() {
-        let mut w = ByteWriter::new();
+        let mut w = ByteWriter::with_capacity(0);
         w.put_u32(7);
         w.put_u8(0xAB);
         w.align8();
@@ -253,7 +370,7 @@ mod tests {
 
     #[test]
     fn misaligned_word_runs_decode_exactly() {
-        let mut w = ByteWriter::new();
+        let mut w = ByteWriter::with_capacity(0);
         w.put_u32(0); // 4-byte prefix => words start misaligned
         w.put_words(&[0x0102_0304_0506_0708]);
         let bytes = w.into_bytes();

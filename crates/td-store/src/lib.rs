@@ -17,8 +17,8 @@
 //!   whole reference run and rebuild its vectors without a scatter
 //!   pass.
 //!
-//! The file layout is a fixed header (magic `TDS1`, version, section
-//! table with per-section FNV-1a checksums) followed by 8-byte-aligned
+//! The file layout is a fixed header (magic `TDS1`, version 2, section
+//! table with per-section XXH64 checksums) followed by 8-byte-aligned
 //! sections — see `docs/STORAGE.md` for the byte-level diagram. The
 //! loader decodes straight from the bytes the file was read into: each
 //! field with one range check, and the claim rows and packed word runs
@@ -56,20 +56,28 @@ mod format;
 mod reference;
 
 pub use error::StoreError;
-pub use format::fnv1a;
+pub use format::{fnv1a, xxh64};
 
-use format::{ByteWriter, SectionReader};
+use format::{ByteWriter, SectionReader, ALIGN};
 
 /// The four magic bytes opening every `.tds` file.
 pub const MAGIC: [u8; 4] = *b"TDS1";
 
-/// The (only) format version this build writes and reads.
-pub const VERSION: u32 = 1;
+/// The (only) format version this build writes and reads. Version 2
+/// checksums sections with [`xxh64`]; version 1 (FNV-1a) files are
+/// refused with [`StoreError::UnsupportedVersion`].
+pub const VERSION: u32 = 2;
 
-/// Hard cap on the section count a header may declare. Version 1
-/// writes exactly [`SECTION_NAMES`]`.len()` sections; the cap bounds
+/// Hard cap on the section count a header may declare. The writer
+/// emits exactly [`SECTION_NAMES`]`.len()` sections; the cap bounds
 /// the table allocation for hostile headers.
 pub const MAX_SECTIONS: u32 = 16;
+
+/// Bytes of the fixed header: magic, version, section count, reserved.
+const HEADER: usize = 16;
+/// Bytes of one section-table entry: kind, reserved, offset, length,
+/// checksum.
+const ENTRY: usize = 32;
 
 /// Section kinds in file order: `sources`, `objects`, `attributes`,
 /// `values`, `claims`, `truth_pages` (kind = index + 1).
@@ -173,37 +181,56 @@ impl DatasetStore {
         Ok(DatasetStore::new(self.dataset.subset_where(keep)?))
     }
 
-    /// Serializes to the `.tds` byte format.
+    /// Serializes to the `.tds` byte format. The output is allocated
+    /// once at its exact size and each section is encoded straight into
+    /// it.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let payloads = [
-            (K_SOURCES, encode_names(&self.dataset, Table::Sources)),
-            (K_OBJECTS, encode_names(&self.dataset, Table::Objects)),
-            (K_ATTRIBUTES, encode_names(&self.dataset, Table::Attributes)),
-            (K_VALUES, encode_values(&self.dataset)),
-            (K_CLAIMS, encode_claims(&self.dataset)),
-            (K_TRUTH_PAGES, encode_pages(&self.pages)),
+        let d = &self.dataset;
+        let [sources, objects, attributes] =
+            [Table::Sources, Table::Objects, Table::Attributes].map(|t| table_names(d, t));
+        // Payload lengths in file order (kind = index + 1).
+        let lens = [
+            names_len(&sources),
+            names_len(&objects),
+            names_len(&attributes),
+            values_len(d),
+            claims_len(d),
+            pages_len(&self.pages),
         ];
+        let size = lens
+            .iter()
+            .fold(HEADER + lens.len() * ENTRY, |at, len| {
+                at.next_multiple_of(ALIGN) + len
+            })
+            .next_multiple_of(ALIGN);
 
-        let mut w = ByteWriter::new();
+        let mut w = ByteWriter::with_capacity(size);
         w.put_bytes(&MAGIC);
         w.put_u32(VERSION);
-        w.put_u32(payloads.len() as u32);
+        w.put_u32(lens.len() as u32);
         w.put_u32(0); // reserved
         let table_at = w.len();
-        for _ in &payloads {
-            w.put_bytes(&[0u8; 32]); // patched below
-        }
-        for (i, (kind, payload)) in payloads.iter().enumerate() {
+        w.put_bytes(&[0u8; ENTRY * SECTION_NAMES.len()]); // patched below
+        for (i, len) in lens.into_iter().enumerate() {
             w.align8();
             let offset = w.len();
-            w.put_bytes(payload);
-            let mut entry = ByteWriter::new();
-            entry.put_u32(*kind);
+            let kind = i as u32 + 1;
+            match kind {
+                K_SOURCES => encode_names(&mut w, &sources),
+                K_OBJECTS => encode_names(&mut w, &objects),
+                K_ATTRIBUTES => encode_names(&mut w, &attributes),
+                K_VALUES => encode_values(&mut w, d),
+                K_CLAIMS => encode_claims(&mut w, d),
+                _ => encode_pages(&mut w, &self.pages),
+            }
+            debug_assert_eq!(w.len() - offset, len, "{} length", SECTION_NAMES[i]);
+            let mut entry = ByteWriter::with_capacity(ENTRY);
+            entry.put_u32(kind);
             entry.put_u32(0); // reserved
             entry.put_u64(offset as u64);
-            entry.put_u64(payload.len() as u64);
-            entry.put_u64(fnv1a(payload));
-            w.patch(table_at + i * 32, &entry.into_bytes());
+            entry.put_u64((w.len() - offset) as u64);
+            entry.put_u64(xxh64(&w.as_bytes()[offset..]));
+            w.patch(table_at + i * ENTRY, &entry.into_bytes());
         }
         w.align8();
         w.into_bytes()
@@ -250,7 +277,7 @@ pub struct SectionInfo {
     pub offset: u64,
     /// Payload length in bytes.
     pub len: u64,
-    /// FNV-1a checksum as stored in the header.
+    /// XXH64 checksum as stored in the header.
     pub checksum: u64,
 }
 
@@ -280,8 +307,8 @@ enum Table {
     Attributes,
 }
 
-fn encode_names(dataset: &Dataset, table: Table) -> Vec<u8> {
-    let names: Vec<&str> = match table {
+fn table_names(dataset: &Dataset, table: Table) -> Vec<&str> {
+    match table {
         Table::Sources => (0..dataset.n_sources() as u32)
             .map(|i| dataset.source_name(SourceId::new(i)))
             .collect(),
@@ -291,18 +318,34 @@ fn encode_names(dataset: &Dataset, table: Table) -> Vec<u8> {
         Table::Attributes => (0..dataset.n_attributes() as u32)
             .map(|i| dataset.attribute_name(AttributeId::new(i)))
             .collect(),
-    };
-    let mut w = ByteWriter::new();
+    }
+}
+
+// Each `*_len` is the exact length its `encode_*` writes, so `to_bytes`
+// sizes the file once (debug builds check every section against it).
+
+fn names_len(names: &[&str]) -> usize {
+    4 + names.iter().map(|n| 4 + n.len()).sum::<usize>()
+}
+
+fn encode_names(w: &mut ByteWriter, names: &[&str]) {
     w.put_u32(names.len() as u32);
     for n in names {
         w.put_u32(n.len() as u32);
         w.put_bytes(n.as_bytes());
     }
-    w.into_bytes()
 }
 
-fn encode_values(dataset: &Dataset) -> Vec<u8> {
-    let mut w = ByteWriter::new();
+fn values_len(dataset: &Dataset) -> usize {
+    let value_len = |i| match dataset.value(ValueId::new(i)) {
+        Value::Text(s) => 1 + 4 + s.len(),
+        Value::Int(_) | Value::Float(_) => 1 + 8,
+        Value::Bool(_) => 1 + 1,
+    };
+    4 + (0..dataset.n_values() as u32).map(value_len).sum::<usize>()
+}
+
+fn encode_values(w: &mut ByteWriter, dataset: &Dataset) {
     w.put_u32(dataset.n_values() as u32);
     for i in 0..dataset.n_values() as u32 {
         match dataset.value(ValueId::new(i)) {
@@ -325,11 +368,13 @@ fn encode_values(dataset: &Dataset) -> Vec<u8> {
             }
         }
     }
-    w.into_bytes()
 }
 
-fn encode_claims(dataset: &Dataset) -> Vec<u8> {
-    let mut w = ByteWriter::new();
+fn claims_len(dataset: &Dataset) -> usize {
+    8 + 16 * dataset.n_claims()
+}
+
+fn encode_claims(w: &mut ByteWriter, dataset: &Dataset) {
     w.put_u32(dataset.n_claims() as u32);
     w.put_u32(0); // pad so each 16-byte claim row starts 8-aligned
     for c in dataset.claims() {
@@ -338,11 +383,22 @@ fn encode_claims(dataset: &Dataset) -> Vec<u8> {
         w.put_u32(c.attribute.0);
         w.put_u32(c.value.0);
     }
-    w.into_bytes()
 }
 
-fn encode_pages(pages: &[TruthPage]) -> Vec<u8> {
-    let mut w = ByteWriter::new();
+fn pages_len(pages: &[TruthPage]) -> usize {
+    // Sections start 8-aligned, so the word runs' padding depends only
+    // on the offset within the section.
+    pages.iter().fold(4, |at, p| {
+        // The name with its u32 length, then six u32 fields.
+        let fixed = 4 + p.algorithm.len() + 6 * 4;
+        // Trust as f64 bits, then (o, a, v) u32s and a confidence each.
+        let reference = 8 * p.reference.source_trust.len() + 20 * p.reference.len();
+        let words = p.matrix.words().len() + p.matrix.mask_words_all().map_or(0, <[u64]>::len);
+        (at + fixed + reference).next_multiple_of(ALIGN) + 8 * words
+    })
+}
+
+fn encode_pages(w: &mut ByteWriter, pages: &[TruthPage]) {
     w.put_u32(pages.len() as u32);
     for p in pages {
         w.put_u32(p.algorithm.len() as u32);
@@ -370,7 +426,6 @@ fn encode_pages(pages: &[TruthPage]) -> Vec<u8> {
             w.put_words(mask);
         }
     }
-    w.into_bytes()
 }
 
 // ---------------------------------------------------------------------
@@ -388,8 +443,6 @@ struct Section {
 /// version, section count, per-section bounds and checksums, and that
 /// every required section appears exactly once.
 fn read_section_table(bytes: &[u8]) -> Result<Vec<Section>, StoreError> {
-    const HEADER: usize = 16;
-    const ENTRY: usize = 32;
     if bytes.len() < HEADER {
         return Err(StoreError::TruncatedHeader { len: bytes.len() });
     }
@@ -445,7 +498,7 @@ fn read_section_table(bytes: &[u8]) -> Result<Vec<Section>, StoreError> {
         if offset < HEADER + table_bytes || end > bytes.len() {
             return Err(StoreError::SectionOutOfBounds { section: name });
         }
-        if fnv1a(&bytes[offset..end]) != checksum {
+        if xxh64(&bytes[offset..end]) != checksum {
             return Err(StoreError::ChecksumMismatch { section: name });
         }
         sections.push(Section {
@@ -802,11 +855,11 @@ mod tests {
         let mut bad = bytes.clone();
         bad[0] = b'X';
         assert!(matches!(DatasetStore::from_bytes(&bad), Err(StoreError::BadMagic { .. })));
-        let mut v2 = bytes.clone();
-        v2[4] = 2;
+        let mut v1 = bytes.clone();
+        v1[4] = 1;
         assert!(matches!(
-            DatasetStore::from_bytes(&v2),
-            Err(StoreError::UnsupportedVersion { found: 2 })
+            DatasetStore::from_bytes(&v1),
+            Err(StoreError::UnsupportedVersion { found: 1 })
         ));
     }
 
@@ -831,7 +884,7 @@ mod tests {
         assert_eq!(names, SECTION_NAMES);
         for s in &table {
             assert_eq!(
-                s.offset % crate::format::ALIGN as u64,
+                s.offset % ALIGN as u64,
                 0,
                 "section {} misaligned",
                 s.name

@@ -8,7 +8,7 @@
 use td_algorithms::TruthResult;
 use td_model::{AttributeId, Claim, Dataset, Interner, ObjectId, SourceId, Value, ValueId};
 
-use crate::format::{fnv1a, ALIGN};
+use crate::format::{xxh64, ALIGN};
 use crate::{
     section_name, DatasetStore, StoreError, TruthPage, MAGIC, MAX_SECTIONS, SECTION_NAMES, VERSION,
 };
@@ -48,16 +48,7 @@ impl AlignedBuf {
     }
 
     fn checksum(&self, offset: usize, len: usize) -> Option<u64> {
-        let end = offset.checked_add(len)?;
-        if end > self.len {
-            return None;
-        }
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for i in offset..end {
-            h ^= u64::from(self.byte(i).unwrap_or(0));
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        Some(h)
+        self.copy_bytes(offset, len).map(|bytes| xxh64(&bytes))
     }
 }
 
@@ -461,7 +452,7 @@ fn decoder_matches_the_reference_under_every_rehashed_byte_flip() {
                 .position(|s| (s.offset..s.offset + s.len).contains(&(pos as u64)))
             {
                 let (off, len) = (table[i].offset as usize, table[i].len as usize);
-                let sum = fnv1a(&bytes[off..off + len]);
+                let sum = xxh64(&bytes[off..off + len]);
                 let entry = 16 + i * 32;
                 bytes[entry + 24..entry + 32].copy_from_slice(&sum.to_le_bytes());
             }

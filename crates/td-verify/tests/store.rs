@@ -9,7 +9,7 @@
 use proptest::prelude::*;
 use td_algorithms::MajorityVote;
 use td_model::{Dataset, DatasetBuilder, Value};
-use td_store::{fnv1a, section_table, DatasetStore, StoreError};
+use td_store::{section_table, xxh64, DatasetStore, StoreError};
 use td_verify::OutcomeFingerprint;
 use tdac_core::{ExecutionBackend, KernelPolicy, Parallelism, Tdac, TdacConfig};
 
@@ -48,7 +48,7 @@ fn patch_and_rehash(bytes: &mut [u8], section: &str, patch_at: usize, patch: &[u
         .unwrap_or_else(|| panic!("no section {section}"));
     let (off, len) = (info.offset as usize, info.len as usize);
     bytes[off + patch_at..off + patch_at + patch.len()].copy_from_slice(patch);
-    let sum = fnv1a(&bytes[off..off + len]);
+    let sum = xxh64(&bytes[off..off + len]);
     // Section-table entries are 32 bytes starting after the 16-byte
     // header: {kind u32, pad u32, offset u64, len u64, checksum u64}.
     let n_sections = u32::from_le_bytes(bytes[8..12].try_into().unwrap()) as usize;

@@ -149,6 +149,23 @@ diff "$serve_tmp/inproc.json" "$serve_tmp/fellback.json" \
     || { echo "verify: fallback shard run diverged from the in-process run" >&2; exit 1; }
 echo "fallback (all attempts killed) == in-process (byte-identical)"
 
+echo "== store: tdc inspect reads the golden as version 2 and refuses version 1 =="
+"$tdc" inspect --input crates/td-verify/goldens/ds1.tds > "$serve_tmp/inspect.txt" \
+    || { echo "verify: tdc inspect failed on the golden store" >&2; exit 1; }
+grep -qx 'version *: 2' "$serve_tmp/inspect.txt" \
+    || { echo "verify: tdc inspect did not report version 2 for the golden" >&2; exit 1; }
+# The same bytes with the header's version field (offset 4) set to 1.
+v1="$serve_tmp/v1.tds"
+cp crates/td-verify/goldens/ds1.tds "$v1"
+printf '\x01' | dd of="$v1" bs=1 seek=4 conv=notrunc status=none
+if "$tdc" inspect --input "$v1" > /dev/null 2> "$serve_tmp/v1.err"; then
+    echo "verify: tdc inspect accepted a version-1 store" >&2
+    exit 1
+fi
+grep -q 'unsupported format version 1' "$serve_tmp/v1.err" \
+    || { echo "verify: a version-1 store was refused without the version error: $(cat "$serve_tmp/v1.err")" >&2; exit 1; }
+echo "golden reads as version 2; a version-1 copy is refused typed"
+
 echo "== expensive oracles: Bell(7)/Bell(8) brute-force differentials =="
 cargo test --offline -q -p td-verify --features expensive-oracles
 
