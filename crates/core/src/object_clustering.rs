@@ -162,7 +162,7 @@ impl Tdoc {
 
         // Run the base per object group on claim-filtered clones.
         let _pg = obs.span("per_group_run");
-        let mut result = TruthResult::with_sources(0, 0.0);
+        let mut result = TruthResult::for_view(&dataset.view_all(), 0.0);
         for group in &groups {
             let sub = object_subset(dataset, group);
             let partial = base.discover_observed(&sub.view_all(), obs);

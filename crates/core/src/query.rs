@@ -183,12 +183,11 @@ impl TruthQuery {
     }
 }
 
-/// All predictions, sorted by `(ObjectId, AttributeId)` for byte-stable
-/// output.
+/// All predictions, in `(ObjectId, AttributeId)` order (the order
+/// [`TruthResult::iter`] yields) for byte-stable output.
 fn sorted_predictions(dataset: &Dataset, result: &TruthResult) -> Vec<Prediction> {
-    let mut rows: Vec<_> = result.iter().collect();
-    rows.sort_by_key(|&(o, a, _, _)| (o, a));
-    rows.into_iter()
+    result
+        .iter()
         .map(|(o, a, v, c)| prediction(dataset, o, a, v, c))
         .collect()
 }

@@ -555,13 +555,15 @@ impl<B: TruthDiscovery + Sync> TdacSession<B> {
                 });
             }
         }
+        // The cache is rebuilt from this ingest's partials below (and
+        // cleared on an error), so clean groups' partials move out of it
+        // and back in instead of being copied.
         let groups = pin.groups().to_vec();
-        let cached: Vec<Option<TruthResult>> =
-            groups.iter().map(|g| cache.get(g).cloned()).collect();
+        let cached: Vec<Option<TruthResult>> = groups.iter().map(|g| cache.remove(g)).collect();
         let reused = cached.iter().flatten().count();
-        let partials = per_group_partials(&*base, dataset, &groups, &cached, obs)?;
-        *cache = groups.iter().cloned().zip(partials.iter().cloned()).collect();
+        let partials = per_group_partials(&*base, dataset, &groups, cached, obs)?;
         let result = merge_partials(&partials, obs);
+        *cache = groups.into_iter().zip(partials).collect();
         let out = TdacOutcome {
             result,
             partition: pin.clone(),
@@ -833,7 +835,7 @@ fn sweep_and_finish(
     let groups = partition.groups().to_vec();
     let cached: Vec<Option<TruthResult>> = groups.iter().map(|g| cache.get(g).cloned()).collect();
     let groups_reused = cached.iter().flatten().count();
-    let partials = per_group_partials(base, dataset, &groups, &cached, obs)?;
+    let partials = per_group_partials(base, dataset, &groups, cached, obs)?;
     let result = merge_partials(&partials, obs);
     Ok(PassOutput {
         outcome: TdacOutcome {

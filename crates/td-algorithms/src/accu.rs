@@ -605,8 +605,8 @@ impl<'c> Engine<'c> {
         }
     }
 
-    fn finish(self, iterations: u32) -> TruthResult {
-        let mut result = TruthResult::with_sources(0, 0.0);
+    fn finish(self, view: &DatasetView<'_>, iterations: u32) -> TruthResult {
+        let mut result = TruthResult::for_view(view, 0.0);
         for (cell, &p) in self.ws.cells().zip(&self.pred) {
             let best = cell.cand_base + p as usize;
             result.set_prediction(
@@ -632,7 +632,7 @@ fn run_engine(view: &DatasetView<'_>, cfg: &AccuConfig, feat: Features) -> Truth
             break;
         }
     }
-    engine.finish(iterations)
+    engine.finish(view, iterations)
 }
 
 /// The engine as it was before per-source tables, supporter groups and
@@ -875,7 +875,7 @@ mod reference {
             1.0 - cfg.epsilon
         };
         let mut accuracy = vec![init_acc; n];
-        let mut result = TruthResult::with_sources(n, init_acc);
+        let mut result = TruthResult::for_view(view, init_acc);
 
         // Current winning candidate per cell; seeded by vote counts so the
         // first dependence computation has a truth estimate to work from.

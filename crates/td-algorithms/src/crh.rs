@@ -62,7 +62,7 @@ impl TruthDiscovery for Crh {
     fn discover(&self, view: &DatasetView<'_>) -> TruthResult {
         let ws = Workspace::build(view, None);
         let n = ws.n_sources;
-        let mut result = TruthResult::with_sources(n, 1.0);
+        let mut result = TruthResult::for_view(view, 1.0);
 
         // Numeric payload per candidate (None ⇒ treat categorically) and
         // per-cell loss normalizer.

@@ -104,7 +104,7 @@ impl TruthDiscovery for Dart {
         let n_false = effective_n_false(cfg.n_false);
         const EPS: f64 = 1e-6;
 
-        let mut result = TruthResult::with_sources(n, cfg.initial_expertise);
+        let mut result = TruthResult::for_view(view, cfg.initial_expertise);
         // expertise[s * n_domains + d]
         let mut expertise = vec![cfg.initial_expertise; n * n_domains];
         let mut tau = vec![0.0f64; n * n_domains];

@@ -56,7 +56,7 @@ impl TruthDiscovery for Ensemble {
 
     fn discover(&self, view: &DatasetView<'_>) -> TruthResult {
         let n = view.n_sources();
-        let mut result = TruthResult::with_sources(n, 0.0);
+        let mut result = TruthResult::for_view(view, 0.0);
         if self.members.is_empty() {
             return result;
         }

@@ -120,7 +120,7 @@ fn renormalize(xs: &mut [f64]) {
 fn run(view: &DatasetView<'_>, cfg: &EstimatesConfig, third: bool) -> TruthResult {
     let ws = Workspace::build(view, None);
     let n = ws.n_sources;
-    let mut result = TruthResult::with_sources(n, cfg.initial_trust);
+    let mut result = TruthResult::for_view(view, cfg.initial_trust);
 
     // Fact layout: one fact per candidate, in the workspace's candidate
     // order.

@@ -120,7 +120,7 @@ fn run(view: &DatasetView<'_>, cfg: &FixpointConfig, variant: Variant) -> TruthR
     let ws = Workspace::build(view, None);
     let n = ws.n_sources;
     let mut trust = vec![cfg.initial_trust; n];
-    let mut result = TruthResult::with_sources(n, cfg.initial_trust);
+    let mut result = TruthResult::for_view(view, cfg.initial_trust);
 
     // Belief per candidate, in the workspace's candidate order.
     let total_cands = ws.n_candidates();

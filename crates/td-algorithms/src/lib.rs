@@ -68,6 +68,6 @@ pub use estimates::{ThreeEstimates, TwoEstimates};
 pub use fixpoint::{AverageLog, Investment, PooledInvestment, Sums};
 pub use majority::MajorityVote;
 pub use registry::{algorithm_by_name, standard_algorithms};
-pub use result::TruthResult;
+pub use result::{TruthResult, TruthResultRepr};
 pub use traits::TruthDiscovery;
 pub use truthfinder::{TruthFinder, TruthFinderConfig};

@@ -25,7 +25,7 @@ impl TruthDiscovery for MajorityVote {
 
     fn discover(&self, view: &DatasetView<'_>) -> TruthResult {
         let n_sources = view.n_sources();
-        let mut result = TruthResult::with_sources(n_sources, 0.0);
+        let mut result = TruthResult::for_view(view, 0.0);
         result.iterations = 1;
 
         let mut agree = vec![0u64; n_sources];

@@ -157,7 +157,7 @@ impl TruthDiscovery for TruthFinder {
         let n = ws.n_sources;
         let mut trust = vec![cfg.initial_trust; n];
         let mut sums = vec![0.0; n];
-        let mut result = TruthResult::with_sources(n, cfg.initial_trust);
+        let mut result = TruthResult::for_view(view, cfg.initial_trust);
 
         let mut iterations = 0u32;
         loop {

@@ -26,5 +26,7 @@ mod worker;
 
 pub use coordinator::{object_shard, ShardRunner, WorkerCommand};
 pub use error::ShardError;
-pub use protocol::{GroupAssignment, ShardJob, ShardMsg, CHAOS_EXIT_ENV, CHAOS_PLAN_ENV};
+pub use protocol::{
+    GroupAssignment, GroupPartial, ShardJob, ShardMsg, CHAOS_EXIT_ENV, CHAOS_PLAN_ENV,
+};
 pub use worker::{run_worker, worker_main};

@@ -13,7 +13,7 @@
 //! quietly proceeds with fewer partials.
 
 use serde::{Deserialize, Serialize};
-use td_algorithms::TruthResult;
+use td_algorithms::TruthResultRepr;
 use td_model::AttributeId;
 use td_obs::Degradation;
 use tdac_core::Parallelism;
@@ -85,8 +85,11 @@ pub struct ShardJob {
 pub struct GroupPartial {
     /// Index of the group in the coordinator's global partition.
     pub group: usize,
-    /// The base algorithm's result over the shard's view of the group.
-    pub result: TruthResult,
+    /// The base algorithm's result over the shard's view of the group,
+    /// as rows: the coordinator range-checks every id before it builds
+    /// a [`TruthResult`](td_algorithms::TruthResult), whose grid is
+    /// sized by them.
+    pub result: TruthResultRepr,
 }
 
 /// A worker-side error report (panic in the base algorithm, unreadable
@@ -118,6 +121,7 @@ pub enum ShardMsg {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use td_algorithms::TruthResult;
     use td_model::{DatasetBuilder, ObjectId, Value, ValueId};
     use td_obs::{DegradationReason, WorkCompleted};
 
@@ -199,7 +203,10 @@ mod tests {
         result.set_prediction(ObjectId::new(0), AttributeId::new(5), ValueId::new(1), 1.0);
         result.iterations = 1;
         let msgs = [
-            ShardMsg::Partial(GroupPartial { group: 2, result }),
+            ShardMsg::Partial(GroupPartial {
+                group: 2,
+                result: result.into(),
+            }),
             ShardMsg::Degraded(Degradation {
                 reason: DegradationReason::Deadline(30_000),
                 phase: "shard_group_run".into(),
@@ -261,7 +268,10 @@ mod tests {
         let mut result = TruthResult::with_sources(2, 0.0);
         result.iterations = 1;
         let msgs = [
-            ShardMsg::Partial(GroupPartial { group: 4, result }),
+            ShardMsg::Partial(GroupPartial {
+                group: 4,
+                result: result.into(),
+            }),
             ShardMsg::Failed(WorkerFailure {
                 phase: "group_run".into(),
                 detail: "base algorithm panicked".into(),

@@ -163,7 +163,7 @@ pub(crate) fn execute(job: &ShardJob, chaos: ChaosAction, emit: &mut Sink<'_>) -
             };
             let partial = GroupPartial {
                 group: assignment.group,
-                result,
+                result: result.into(),
             };
             if emit(ShardMsg::Partial(partial)).is_err() {
                 return 1;
@@ -269,10 +269,7 @@ mod tests {
         assert_eq!(p0.group, 0);
         // Bit-identical to an in-process discover over the same view.
         let direct = td_algorithms::MajorityVote.discover(&store.dataset.view_of(&attrs[..1]));
-        assert_eq!(
-            p0.result.iter().collect::<Vec<_>>(),
-            direct.iter().collect::<Vec<_>>()
-        );
+        assert_eq!(p0.result.predictions, direct.iter().collect::<Vec<_>>());
         for (got, want) in p0.result.source_trust.iter().zip(&direct.source_trust) {
             assert_eq!(got.to_bits(), want.to_bits());
         }

@@ -3,7 +3,7 @@
 //! The parallel-execution contract of this workspace is *bit identity*:
 //! the same configuration must produce the same [`TruthResult`] at any
 //! thread count. [`TruthResult`] itself cannot be compared directly —
-//! its prediction map iterates in hash order and `f64` does not
+//! its grid's shape depends on how it was built and `f64` does not
 //! implement `Eq` — so the harness canonicalizes results into sorted,
 //! bit-pattern form first. Two fingerprints are equal **iff** every
 //! prediction, every confidence bit, every trust bit, and the iteration
@@ -26,15 +26,14 @@ pub struct ResultFingerprint {
 }
 
 impl ResultFingerprint {
-    /// Canonicalizes a result.
+    /// Canonicalizes a result ([`TruthResult::iter`] already yields
+    /// cells in order).
     pub fn of(result: &TruthResult) -> Self {
-        let mut predictions: Vec<_> = result
-            .iter()
-            .map(|(o, a, v, c)| (o, a, v, c.to_bits()))
-            .collect();
-        predictions.sort_unstable_by_key(|&(o, a, _, _)| (o, a));
         Self {
-            predictions,
+            predictions: result
+                .iter()
+                .map(|(o, a, v, c)| (o, a, v, c.to_bits()))
+                .collect(),
             source_trust: result.source_trust.iter().map(|t| t.to_bits()).collect(),
             iterations: result.iterations,
         }

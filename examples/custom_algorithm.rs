@@ -27,7 +27,7 @@ impl TruthDiscovery for AgreementWeightedVote {
 
     fn discover(&self, view: &DatasetView<'_>) -> TruthResult {
         let n = view.n_sources();
-        let mut result = TruthResult::with_sources(n, 0.5);
+        let mut result = TruthResult::for_view(view, 0.5);
         result.iterations = 2;
 
         // Pass 1: plurality agreement rate per source.

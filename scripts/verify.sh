@@ -40,6 +40,12 @@ echo "== k-means parity oracle: packed vs dense Lloyd, dev and release profiles 
 cargo test --offline -q -p td-verify --test kmeans
 cargo test --offline -q --release -p td-verify --test kmeans
 
+echo "== td-algorithms under the release profile =="
+# A TruthResult indexes its slots as column · stride + object, and
+# release builds do not overflow-check that arithmetic: run the crate's
+# suites (the TruthResult model property test among them) there too.
+cargo test --offline -q --release -p td-algorithms
+
 echo "== store decoder under the release profile =="
 # tdc and perfbench load stores with the release decoder, whose offset
 # arithmetic runs without overflow checks: run its unit tests (the
@@ -165,6 +171,16 @@ fi
 grep -q 'unsupported format version 1' "$serve_tmp/v1.err" \
     || { echo "verify: a version-1 store was refused without the version error: $(cat "$serve_tmp/v1.err")" >&2; exit 1; }
 echo "golden reads as version 2; a version-1 copy is refused typed"
+# A reader that stops after one line: tdc must exit quietly, not panic
+# on the closed pipe (pipefail is off for this one pipeline, since the
+# status of a writer cut short is not what is checked).
+(set +o pipefail; "$tdc" inspect --input crates/td-verify/goldens/ds1.tds \
+    2> "$serve_tmp/pipe.err" | head -1 > /dev/null)
+if grep -q panicked "$serve_tmp/pipe.err"; then
+    echo "verify: tdc inspect panicked when its reader closed the pipe: $(cat "$serve_tmp/pipe.err")" >&2
+    exit 1
+fi
+echo "tdc inspect | head -1 exits without a panic"
 
 echo "== expensive oracles: Bell(7)/Bell(8) brute-force differentials =="
 cargo test --offline -q -p td-verify --features expensive-oracles
